@@ -14,13 +14,36 @@
 //! re-inserted when re-optimized). f-HABF disables `Γ` entirely
 //! (paper §III-G), losing candidate classes (b)/(c) but skipping this
 //! module's work.
+//!
+//! # Layout
+//!
+//! The buckets are not `m` separate vectors. Almost every key is known
+//! once TPJO has classified the negatives, so `Γ` stores those in
+//! compressed sparse rows, built in two passes (count, then fill) by
+//! `Gamma::from_keys`: an `offsets` array of `m + 1` entries and one
+//! flat `keys` array, bucket `i` being `keys[offsets[i]..offsets[i + 1]]`.
+//! The few keys TPJO registers later (collision keys it optimizes or
+//! finds resolved) go to a small overflow map, bucket → keys.
+//!
+//! Two invariants hold exactly, because the requeue order — and with it
+//! the filter's bytes — depends on them:
+//! * **bucket order**: a bucket yields its bulk keys in ascending key
+//!   index, then its later inserts in insertion order;
+//! * **dedup**: a key is stored once per bucket, both when its own
+//!   positions repeat and when it is registered again after a requeue.
 
 use crate::vindex::VIndex;
+use std::collections::HashMap;
 
 /// Per-bit buckets of optimized-key indices.
 #[derive(Clone, Debug)]
 pub struct Gamma {
-    buckets: Vec<Vec<u32>>,
+    /// Bucket `i`'s bulk keys are `keys[offsets[i]..offsets[i + 1]]`.
+    offsets: Vec<u32>,
+    /// Bulk keys, ascending within each bucket.
+    keys: Vec<u32>,
+    /// Keys registered after the bulk build, per bucket, in insertion order.
+    overflow: HashMap<u32, Vec<u32>>,
 }
 
 /// Outcome of conflict detection on one bucket.
@@ -40,44 +63,114 @@ impl ConflictSet {
     }
 }
 
+/// The positions of `chain` that no earlier slot of it repeats.
+fn distinct(chain: &[u32]) -> impl Iterator<Item = usize> + '_ {
+    chain
+        .iter()
+        .enumerate()
+        .filter(|&(j, p)| !chain[..j].contains(p))
+        .map(|(_, &p)| p as usize)
+}
+
 impl Gamma {
     /// Creates `m` empty buckets.
     #[must_use]
     pub fn new(m: usize) -> Self {
+        Self::from_keys(m, 1, &[], |_| false)
+    }
+
+    /// Builds `m` buckets holding every key `i` for which `include(i)`
+    /// holds, where `positions` lists each key's `k` `H0` positions back
+    /// to back (key `i` owns `positions[i * k..(i + 1) * k]`).
+    ///
+    /// # Panics
+    /// Panics if `k == 0` or `positions` has `u32::MAX` entries or more.
+    #[must_use]
+    pub(crate) fn from_keys(
+        m: usize,
+        k: usize,
+        positions: &[u32],
+        include: impl Fn(u32) -> bool,
+    ) -> Self {
+        assert!(
+            positions.len() < u32::MAX as usize,
+            "Γ indexes fewer than u32::MAX positions"
+        );
+        let chains = || {
+            positions
+                .chunks_exact(k)
+                .enumerate()
+                .map(|(i, chain)| (i as u32, chain))
+                .filter(|&(i, _)| include(i))
+        };
+        // Pass 1: count, then turn the counts into bucket ends.
+        let mut offsets = vec![0u32; m + 1];
+        for (_, chain) in chains() {
+            for p in distinct(chain) {
+                offsets[p] += 1;
+            }
+        }
+        let mut end = 0;
+        for slot in &mut offsets {
+            end += *slot;
+            *slot = end;
+        }
+        // Pass 2: fill back to front, so every bucket comes out ascending
+        // and `offsets[i]` walks down from bucket `i`'s end to its start.
+        let mut keys = vec![0u32; end as usize];
+        for (key, chain) in chains().rev() {
+            for p in distinct(chain) {
+                offsets[p] -= 1;
+                keys[offsets[p] as usize] = key;
+            }
+        }
         Self {
-            buckets: vec![Vec::new(); m],
+            offsets,
+            keys,
+            overflow: HashMap::new(),
         }
     }
 
     /// Number of buckets.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.buckets.len()
+        self.offsets.len() - 1
     }
 
     /// `true` when there are no buckets.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.buckets.is_empty()
+        self.len() == 0
     }
 
     /// Registers optimized key `key_idx` into the buckets of all its
-    /// positions (call with the key's `k` `H0` positions).
+    /// positions (call with the key's `k` `H0` positions). A bucket that
+    /// already holds the key is left as it is.
     pub fn insert(&mut self, key_idx: u32, positions: &[u32]) {
         for &p in positions {
-            let bucket = &mut self.buckets[p as usize];
-            // A key whose hashes collide maps twice to one bucket; store it
-            // once to keep detection counts per-key.
-            if bucket.last() != Some(&key_idx) && !bucket.contains(&key_idx) {
-                bucket.push(key_idx);
+            if self.bulk(p as usize).binary_search(&key_idx).is_ok() {
+                continue;
+            }
+            let later = self.overflow.entry(p).or_default();
+            if !later.contains(&key_idx) {
+                later.push(key_idx);
             }
         }
     }
 
-    /// Occupants of the bucket behind bit `position` (unfiltered).
-    #[must_use]
-    pub fn bucket(&self, position: usize) -> &[u32] {
-        &self.buckets[position]
+    /// The keys registered by [`Gamma::from_keys`] in bucket `position`.
+    fn bulk(&self, position: usize) -> &[u32] {
+        &self.keys[self.offsets[position] as usize..self.offsets[position + 1] as usize]
+    }
+
+    /// Occupants of the bucket behind bit `position` (unfiltered), bulk
+    /// keys first, then later inserts.
+    pub fn bucket(&self, position: usize) -> impl Iterator<Item = u32> + '_ {
+        let later = self.overflow.get(&(position as u32));
+        self.bulk(position)
+            .iter()
+            .chain(later.into_iter().flatten())
+            .copied()
     }
 
     /// Algorithm 1: collects the optimized keys of bucket `nu` that become
@@ -101,7 +194,7 @@ impl Gamma {
         cost: impl Fn(u32) -> f64,
     ) -> ConflictSet {
         let mut out = ConflictSet::default();
-        for &key_idx in &self.buckets[nu] {
+        for key_idx in self.bucket(nu) {
             if !is_optimized(key_idx) {
                 continue;
             }
@@ -126,6 +219,7 @@ impl Gamma {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     const K: usize = 3;
 
@@ -184,8 +278,8 @@ mod tests {
     fn duplicate_positions_stored_once() {
         let mut gamma = Gamma::new(8);
         gamma.insert(3, &[4, 4, 6]);
-        assert_eq!(gamma.bucket(4), &[3]);
-        assert_eq!(gamma.bucket(6), &[3]);
+        assert_eq!(gamma.bucket(4).collect::<Vec<_>>(), [3]);
+        assert_eq!(gamma.bucket(6).collect::<Vec<_>>(), [3]);
     }
 
     #[test]
@@ -216,5 +310,115 @@ mod tests {
         );
         assert_eq!(set.keys.len(), 2);
         assert!((set.total_cost - 21.0).abs() < 1e-12);
+    }
+
+    /// Reference model: the paper's literal layout, one vector per bit,
+    /// with the per-bucket dedup rule.
+    struct Model {
+        buckets: Vec<Vec<u32>>,
+    }
+
+    impl Model {
+        fn insert(&mut self, key: u32, positions: &[u32]) {
+            for &p in positions {
+                let bucket = &mut self.buckets[p as usize];
+                if !bucket.contains(&key) {
+                    bucket.push(key);
+                }
+            }
+        }
+
+        /// Algorithm 1 over the model's bucket `nu`.
+        fn detect_conflicts(
+            &self,
+            nu: usize,
+            v: &VIndex,
+            chains: &[Vec<u32>],
+            is_optimized: impl Fn(u32) -> bool,
+            cost: impl Fn(u32) -> f64,
+        ) -> (Vec<u32>, f64) {
+            let (mut keys, mut total) = (Vec::new(), 0.0);
+            for &key in &self.buckets[nu] {
+                let chain = &chains[key as usize];
+                let others = chain
+                    .iter()
+                    .filter(|&&p| p as usize != nu && v.bit_is_set(p as usize))
+                    .count();
+                if is_optimized(key) && others == chain.len() - 1 {
+                    keys.push(key);
+                    total += cost(key);
+                }
+            }
+            (keys, total)
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The CSR layout plus overflow answers exactly like one vector per
+        /// bit: same bucket sequences, same conflicts, same summed cost.
+        #[test]
+        fn matches_vec_of_vecs_model(
+            m in 1usize..48,
+            k in 1usize..=4,
+            // Per key: raw positions, registered in bulk?, repeat a position?
+            keys in prop::collection::vec(
+                (prop::collection::vec(0u32..1024, 4), any::<bool>(), any::<bool>()),
+                0..40,
+            ),
+            later in prop::collection::vec(0u32..1024, 0..60),
+            set_bits in prop::collection::vec(0u32..1024, 0..48),
+            optimized in prop::collection::vec(any::<bool>(), 64),
+        ) {
+            let chains: Vec<Vec<u32>> = keys
+                .iter()
+                .map(|(raw, _, repeat)| {
+                    let mut chain: Vec<u32> = raw[..k].iter().map(|&r| r % m as u32).collect();
+                    if *repeat {
+                        chain[k - 1] = chain[0];
+                    }
+                    chain
+                })
+                .collect();
+            let flat = chains.concat();
+            let mut gamma = Gamma::from_keys(m, k, &flat, |i| keys[i as usize].1);
+            let mut model = Model { buckets: vec![Vec::new(); m] };
+            for (i, chain) in chains.iter().enumerate() {
+                if keys[i].1 {
+                    model.insert(i as u32, chain);
+                }
+            }
+            // Later inserts hit bulk keys, fresh keys, and keys already in
+            // the overflow alike.
+            if !chains.is_empty() {
+                for &x in &later {
+                    let key = x % chains.len() as u32;
+                    gamma.insert(key, &chains[key as usize]);
+                    model.insert(key, &chains[key as usize]);
+                }
+            }
+
+            let mut v = VIndex::new(m);
+            for &b in &set_bits {
+                v.insert(b as usize % m, 0);
+            }
+            let is_optimized = |i: u32| optimized[i as usize];
+            let cost = |i: u32| 0.5 + f64::from(i) * 1.25;
+            let positions = |i: u32| {
+                let mut out = [0u32; crate::MAX_K];
+                out[..k].copy_from_slice(&chains[i as usize]);
+                out
+            };
+            prop_assert_eq!(gamma.len(), m);
+            for nu in 0..m {
+                let got: Vec<u32> = gamma.bucket(nu).collect();
+                prop_assert_eq!(&got, &model.buckets[nu], "bucket {}", nu);
+                let cs = gamma.detect_conflicts(nu, &v, k, positions, is_optimized, cost);
+                let (want, total) = model.detect_conflicts(nu, &v, &chains, is_optimized, cost);
+                prop_assert_eq!(&cs.keys, &want, "conflicts on {}", nu);
+                prop_assert_eq!(cs.total_cost.to_bits(), total.to_bits());
+            }
+        }
     }
 }

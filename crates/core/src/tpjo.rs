@@ -171,7 +171,6 @@ pub fn run<P: HashProvider>(
     // ---- Classify O into collision keys and optimized keys.
     let mut neg_positions: Vec<u32> = Vec::with_capacity(negatives.len() * k);
     let mut neg_state: Vec<NegState> = Vec::with_capacity(negatives.len());
-    let mut gamma = config.use_gamma.then(|| Gamma::new(m));
     let mut queue: VecDeque<u32> = VecDeque::new();
     let mut initial_ck: Vec<u32> = Vec::new();
     for (idx, (key, _cost)) in negatives.iter().enumerate() {
@@ -184,10 +183,14 @@ pub fn run<P: HashProvider>(
         });
         if is_collision {
             initial_ck.push(idx as u32);
-        } else if let Some(g) = gamma.as_mut() {
-            g.insert(idx as u32, &scratch);
         }
     }
+    // Γ starts with every optimized key, i.e. every non-collision key.
+    let mut gamma = config.use_gamma.then(|| {
+        Gamma::from_keys(m, k, &neg_positions, |i| {
+            !neg_state[i as usize].is_collision
+        })
+    });
     // Collision queue in descending cost order (paper Fig 6).
     initial_ck.sort_by(|&a, &b| {
         negatives[b as usize]

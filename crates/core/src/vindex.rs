@@ -16,16 +16,23 @@
 //! by ≥ 1 positive key`, so `V` doubles as the ground truth for
 //! `σ(i) = 1` during conflict detection (Algorithm 1 reads
 //! `V[h(e_opk)].keyid ≠ NULL`).
+//!
+//! # Layout
+//!
+//! A unit is one `u32`, with the single flag folded into the key id: a
+//! real key id means `⟨1, e⟩`, `NONE` means `⟨1, NULL⟩`, and `MULTI`
+//! means `⟨0, ·⟩`. Nothing reads the key id of a degraded unit, so the
+//! paper's `⟨0, e'⟩` loses no information. Key ids must stay below
+//! `MULTI = u32::MAX - 1`.
 
-use habf_util::BitVec;
-
-/// Sentinel for "no key".
+/// Key id of a unit no positive key maps (`⟨1, NULL⟩`).
 const NONE: u32 = u32::MAX;
+/// Key id of a unit mapped two or more times (`⟨0, ·⟩`).
+const MULTI: u32 = u32::MAX - 1;
 
-/// The `V` index: `m` units of ⟨singleflag, keyid⟩.
+/// The `V` index: `m` units, each a key id that carries the single flag.
 #[derive(Clone, Debug)]
 pub struct VIndex {
-    singleflag: BitVec,
     keyid: Vec<u32>,
 }
 
@@ -33,12 +40,7 @@ impl VIndex {
     /// Creates `m` units, all `⟨1, NULL⟩`.
     #[must_use]
     pub fn new(m: usize) -> Self {
-        let mut singleflag = BitVec::new(m);
-        for i in 0..m {
-            singleflag.set(i);
-        }
         Self {
-            singleflag,
             keyid: vec![NONE; m],
         }
     }
@@ -59,28 +61,23 @@ impl VIndex {
     /// function application, so a key is inserted `k` times overall).
     #[inline]
     pub fn insert(&mut self, unit: usize, key_idx: u32) {
-        debug_assert_ne!(key_idx, NONE, "key index collides with the sentinel");
-        if self.singleflag.get(unit) {
-            if self.keyid[unit] == NONE {
-                // Case 1: first mapping.
-                self.keyid[unit] = key_idx;
-            } else {
-                // Case 2: mapped twice now.
-                self.singleflag.clear(unit);
-            }
+        debug_assert!(key_idx < MULTI, "key index collides with a sentinel");
+        let id = &mut self.keyid[unit];
+        match *id {
+            // Case 1: first mapping.
+            NONE => *id = key_idx,
+            // Case 3: nothing to do.
+            MULTI => {}
+            // Case 2: mapped twice now.
+            _ => *id = MULTI,
         }
-        // Case 3: nothing to do.
     }
 
     /// `true` iff the unit is mapped exactly once (adjustable).
-    ///
-    /// Units are hash positions already reduced modulo `len()`, so the
-    /// bounds-masked probe is exact and TPJO's conflict-detection loops
-    /// carry no panic branch.
     #[must_use]
     #[inline]
     pub fn is_single(&self, unit: usize) -> bool {
-        self.singleflag.get_probe(unit) && self.keyid[unit] != NONE
+        self.keyid[unit] < MULTI
     }
 
     /// The single occupant of `unit`, if [`Self::is_single`].
@@ -111,7 +108,6 @@ impl VIndex {
     #[inline]
     pub fn reset_single(&mut self, unit: usize) {
         debug_assert!(self.is_single(unit), "resetting a non-single unit");
-        self.singleflag.set(unit);
         self.keyid[unit] = NONE;
     }
 

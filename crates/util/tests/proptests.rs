@@ -57,7 +57,7 @@ proptest! {
     /// The bounds-masked probe variants used by the filter query loops are
     /// exactly equivalent to the checked accessors for every in-range
     /// index, on owned AND shared-image-backed storage — the contract that
-    /// lets `HashExpressor`/`VIndex` probe without a panic branch.
+    /// lets `HashExpressor` and the filters probe without a panic branch.
     #[test]
     fn probe_variants_match_checked_accessors(
         len in 1usize..2048,
