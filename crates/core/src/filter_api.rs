@@ -27,6 +27,7 @@ use crate::persist;
 use crate::sharded::ShardedConfig;
 use habf_filters::Filter;
 use habf_util::Backing;
+use std::collections::hash_map::{Entry, HashMap};
 
 /// How a [`FilterSpec`] sizes the filter it builds.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -163,19 +164,36 @@ impl<'a> BuildInput<'a> {
     }
 
     /// The negative set a build actually optimizes against:
-    /// `costed_negatives ∪ hints`, key-unique (max cost wins), sorted by
-    /// descending cost (ties broken by key for determinism).
+    /// `costed_negatives ∪ hints`, key-unique (max cost wins, compared
+    /// with `f64::total_cmp`), sorted by descending cost with ties broken
+    /// by ascending key, so the order is total and independent of input
+    /// order.
+    ///
+    /// One pass in input order keeps each key once through a hash map
+    /// from key to merged index; one sort then orders the unique keys.
+    /// Key bytes are compared only on cost ties, which matters because
+    /// the keys sit scattered across the heap and each comparison is a
+    /// cache miss.
     #[must_use]
     pub fn merged_negatives(&self) -> Vec<(&'a [u8], f64)> {
-        let mut merged: Vec<(&'a [u8], f64)> = self
-            .costed_negatives
-            .iter()
-            .chain(self.hints.iter())
-            .copied()
-            .collect();
-        merged.sort_by(|a, b| a.0.cmp(b.0).then_with(|| b.1.total_cmp(&a.1)));
-        merged.dedup_by(|a, b| a.0 == b.0);
-        merged.sort_by(|a, b| b.1.total_cmp(&a.1).then_with(|| a.0.cmp(b.0)));
+        let total = self.costed_negatives.len() + self.hints.len();
+        let mut merged: Vec<(&'a [u8], f64)> = Vec::with_capacity(total);
+        let mut slot: HashMap<&'a [u8], usize> = HashMap::with_capacity(total);
+        for &(key, cost) in self.costed_negatives.iter().chain(&self.hints) {
+            match slot.entry(key) {
+                Entry::Occupied(e) => {
+                    let kept = &mut merged[*e.get()].1;
+                    if cost.total_cmp(kept).is_gt() {
+                        *kept = cost;
+                    }
+                }
+                Entry::Vacant(e) => {
+                    e.insert(merged.len());
+                    merged.push((key, cost));
+                }
+            }
+        }
+        merged.sort_unstable_by(|a, b| b.1.total_cmp(&a.1).then_with(|| a.0.cmp(b.0)));
         merged
     }
 

@@ -34,8 +34,16 @@ use crate::hash_expressor::HashExpressor;
 use crate::vindex::VIndex;
 use crate::MAX_K;
 use habf_hashing::{HashId, HashProvider};
+use habf_util::prefetch::prefetch_bytes;
 use habf_util::{BitVec, Xoshiro256};
 use std::collections::VecDeque;
+use std::time::{Duration, Instant};
+
+/// How many keys (in the hashing passes) or positions (in the Bloom/V
+/// pass) ahead of the current one the build front end prefetches. Far
+/// enough to cover a DRAM round-trip behind one key's hashing, near
+/// enough that the hinted lines are still resident when reached.
+const PREFETCH_AHEAD: usize = 16;
 
 /// Configuration of one TPJO run.
 #[derive(Clone, Debug)]
@@ -86,6 +94,15 @@ pub struct BuildStats {
     /// Collision keys resolved as a side effect of earlier adjustments
     /// (tested negative when popped).
     pub resolved_lazily: usize,
+    /// Wall time hashing `S` with `H0` and filling the Bloom array and `V`.
+    pub init_time: Duration,
+    /// Wall time hashing `O`, splitting it into collision and optimized
+    /// keys, and ordering the collision queue.
+    pub classify_time: Duration,
+    /// Wall time building `Γ` over the optimized keys (zero with Γ off).
+    pub gamma_time: Duration,
+    /// Wall time of the optimizer's main loop over the collision queue.
+    pub main_loop_time: Duration,
 }
 
 /// Everything the query structure needs, as produced by TPJO.
@@ -116,6 +133,15 @@ struct NegState {
 /// An empty positive set is allowed and degenerates to an all-zeros
 /// filter that answers every query negatively (zero FNR vacuously) — the
 /// case a sharded build hits when the splitter assigns a shard no keys.
+///
+/// The front end is memory-bound, not compute-bound, so it runs as bulk
+/// passes that prefetch `PREFETCH_AHEAD` items ahead (when
+/// [`habf_util::prefetch::enabled`]): positives are hashed into `φ` and
+/// their positions first, then a second pass sets the Bloom bits and `V`
+/// units in the same order, so every `V` state matches a one-pass
+/// insert; negatives are hashed with their key bytes prefetched. The
+/// prefetches change timing only — the output is identical either way.
+/// [`BuildStats`] records the wall time of each phase.
 ///
 /// # Panics
 /// Panics on an infeasible configuration (`k` larger than the provider,
@@ -151,22 +177,42 @@ pub fn run<P: HashProvider>(
         negatives: negatives.len(),
         ..BuildStats::default()
     };
+    let prefetch = habf_util::prefetch::enabled();
+    let mut phase_start = Instant::now();
+    let mut end_phase = || {
+        let now = Instant::now();
+        let spent = now - phase_start;
+        phase_start = now;
+        spent
+    };
 
     // ---- Initialization: insert S with H0, build the Bloom array and V.
-    let mut bloom = BitVec::new(m);
-    let mut v = VIndex::new(m);
     let mut pos_phis: Vec<HashId> = Vec::with_capacity(positives.len() * k);
     let mut pos_positions: Vec<u32> = Vec::with_capacity(positives.len() * k);
     let mut scratch: Vec<u32> = Vec::with_capacity(k);
     for (idx, key) in positives.iter().enumerate() {
-        positions_batch(provider, key.as_ref(), &h0, m, &mut scratch);
-        for (&id, &p) in h0.iter().zip(scratch.iter()) {
-            bloom.set(p as usize);
-            v.insert(p as usize, idx as u32);
-            pos_phis.push(id);
-            pos_positions.push(p);
+        if prefetch {
+            if let Some(ahead) = positives.get(idx + PREFETCH_AHEAD) {
+                prefetch_bytes(ahead.as_ref());
+            }
         }
+        positions_batch(provider, key.as_ref(), &h0, m, &mut scratch);
+        pos_phis.extend_from_slice(&h0);
+        pos_positions.extend_from_slice(&scratch);
     }
+    let mut bloom = BitVec::new(m);
+    let mut v = VIndex::new(m);
+    for (i, &p) in pos_positions.iter().enumerate() {
+        if prefetch {
+            if let Some(&ahead) = pos_positions.get(i + PREFETCH_AHEAD) {
+                bloom.prefetch_bit(ahead as usize);
+                v.prefetch(ahead as usize);
+            }
+        }
+        bloom.set(p as usize);
+        v.insert(p as usize, (i / k) as u32);
+    }
+    stats.init_time = end_phase();
 
     // ---- Classify O into collision keys and optimized keys.
     let mut neg_positions: Vec<u32> = Vec::with_capacity(negatives.len() * k);
@@ -174,6 +220,11 @@ pub fn run<P: HashProvider>(
     let mut queue: VecDeque<u32> = VecDeque::new();
     let mut initial_ck: Vec<u32> = Vec::new();
     for (idx, (key, _cost)) in negatives.iter().enumerate() {
+        if prefetch {
+            if let Some((ahead, _)) = negatives.get(idx + PREFETCH_AHEAD) {
+                prefetch_bytes(ahead.as_ref());
+            }
+        }
         positions_batch(provider, key.as_ref(), &h0, m, &mut scratch);
         let is_collision = scratch.iter().all(|&p| bloom.get(p as usize));
         neg_positions.extend_from_slice(&scratch);
@@ -185,12 +236,6 @@ pub fn run<P: HashProvider>(
             initial_ck.push(idx as u32);
         }
     }
-    // Γ starts with every optimized key, i.e. every non-collision key.
-    let mut gamma = config.use_gamma.then(|| {
-        Gamma::from_keys(m, k, &neg_positions, |i| {
-            !neg_state[i as usize].is_collision
-        })
-    });
     // Collision queue in descending cost order (paper Fig 6).
     initial_ck.sort_by(|&a, &b| {
         negatives[b as usize]
@@ -200,6 +245,15 @@ pub fn run<P: HashProvider>(
     });
     stats.initial_collision_keys = initial_ck.len();
     queue.extend(initial_ck);
+    stats.classify_time = end_phase();
+
+    // Γ starts with every optimized key, i.e. every non-collision key.
+    let mut gamma = config.use_gamma.then(|| {
+        Gamma::from_keys(m, k, &neg_positions, |i| {
+            !neg_state[i as usize].is_collision
+        })
+    });
+    stats.gamma_time = end_phase();
 
     let mut he = HashExpressor::new(config.omega, config.cell_bits, k);
     let mut in_he = vec![false; positives.len()];
@@ -386,6 +440,7 @@ pub fn run<P: HashProvider>(
             stats.failed += 1;
         }
     }
+    stats.main_loop_time = end_phase();
 
     TpjoOutput {
         bloom,
@@ -587,6 +642,20 @@ mod tests {
         }
         // And the filter is not degenerate (some bits are 0).
         assert!(out.bloom.count_ones() < out.bloom.len());
+    }
+
+    #[test]
+    fn phase_times_are_populated_within_the_wall_time() {
+        let provider = HashFamily::with_size(7);
+        let pos = keys(2_000, "pos");
+        let neg: Vec<(Vec<u8>, f64)> = keys(2_000, "neg").into_iter().map(|k| (k, 1.0)).collect();
+        let start = Instant::now();
+        let out = run(&pos, &neg, &provider, &config(2_000 * 6, 500, true));
+        let wall = start.elapsed();
+        let s = &out.stats;
+        let phases = [s.init_time, s.classify_time, s.gamma_time, s.main_loop_time];
+        assert!(phases.iter().all(|t| !t.is_zero()), "unset phase: {s:?}");
+        assert!(phases.iter().sum::<Duration>() <= wall, "{s:?} vs {wall:?}");
     }
 
     #[test]

@@ -73,6 +73,15 @@ impl VIndex {
         }
     }
 
+    /// Hints the cache that `unit` is about to be inserted into or read.
+    /// Out-of-range units are ignored (hint only).
+    #[inline]
+    pub fn prefetch(&self, unit: usize) {
+        if let Some(id) = self.keyid.get(unit) {
+            habf_util::prefetch::prefetch_read(id);
+        }
+    }
+
     /// `true` iff the unit is mapped exactly once (adjustable).
     #[must_use]
     #[inline]

@@ -2,15 +2,17 @@
 //! reply, plus a pipelined batched-query path that keeps many `QUERY`
 //! frames in flight on one connection.
 
-use std::io::Write;
+use std::io::{BufReader, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
 use crate::protocol::{self, frame_type, Frame, WireError};
 
-/// A connected protocol client.
+/// A connected protocol client. Replies are read through one buffer, so
+/// a small reply costs one `read` syscall instead of one for its header
+/// and one for its payload; requests go out as one `write` per call.
 pub struct Client {
-    stream: TcpStream,
+    reader: BufReader<TcpStream>,
 }
 
 impl Client {
@@ -23,17 +25,22 @@ impl Client {
         let stream = TcpStream::connect(addr)?;
         stream.set_read_timeout(Some(timeout))?;
         stream.set_nodelay(true)?;
-        Ok(Self { stream })
+        Ok(Self {
+            reader: BufReader::new(stream),
+        })
     }
 
     fn call(&mut self, kind: u8, payload: &[u8], want: u8) -> Result<Frame, WireError> {
-        protocol::write_frame(&mut self.stream, kind, payload)?;
-        self.stream.flush()?;
+        // One write per request: with `TCP_NODELAY`, separate header and
+        // payload writes would go out as two segments.
+        let mut frame = Vec::with_capacity(protocol::HEADER_LEN + payload.len());
+        protocol::append_frame(&mut frame, kind, payload)?;
+        self.send_raw(&frame)?;
         self.read_reply(want)
     }
 
     fn read_reply(&mut self, want: u8) -> Result<Frame, WireError> {
-        let frame = protocol::read_frame(&mut self.stream)?.ok_or(WireError::Truncated)?;
+        let frame = protocol::read_frame(&mut self.reader)?.ok_or(WireError::Truncated)?;
         if frame.kind == frame_type::ERROR {
             let parts = protocol::decode_error_parts(&frame.payload)?;
             if let Some(retry_after_ms) = parts.retry_after_ms {
@@ -102,14 +109,15 @@ impl Client {
         chunk: usize,
     ) -> Result<Vec<bool>, WireError> {
         let chunk = chunk.max(1);
+        let mut frames = Vec::new();
         for batch in keys.chunks(chunk) {
-            protocol::write_frame(
-                &mut self.stream,
+            protocol::append_frame(
+                &mut frames,
                 frame_type::QUERY,
                 &protocol::encode_query(tenant, batch),
             )?;
         }
-        self.stream.flush()?;
+        self.send_raw(&frames)?;
         let mut answers = Vec::with_capacity(keys.len());
         for batch in keys.chunks(chunk) {
             let reply = self.read_reply(frame_type::ANSWERS)?;
@@ -130,7 +138,7 @@ impl Client {
     /// # Errors
     /// I/O failures from the socket write.
     pub fn send_raw(&mut self, frame: &[u8]) -> Result<(), WireError> {
-        self.stream.write_all(frame)?;
+        self.reader.get_mut().write_all(frame)?;
         Ok(())
     }
 
@@ -139,7 +147,7 @@ impl Client {
     /// # Errors
     /// I/O failures from the socket flush.
     pub fn flush(&mut self) -> Result<(), WireError> {
-        self.stream.flush()?;
+        self.reader.get_mut().flush()?;
         Ok(())
     }
 

@@ -2,10 +2,43 @@
 //! hints (duplicates, member keys, shuffled costs) and mined FP feedback
 //! the store receives, the hints assembled for a run build must be
 //! key-unique, finite-cost, descending, capped, and disjoint from the
-//! run's members.
+//! run's members. On the build side, `BuildInput::merged_negatives` must
+//! merge costed negatives and hints exactly as a sort → dedup → sort
+//! reference does.
 
 use habf::lsm::{AdaptConfig, Lsm, LsmConfig};
+use habf::prelude::BuildInput;
 use proptest::prelude::*;
+
+/// Costs drawn from a small table, so different keys tie on cost and
+/// duplicates of one key tie or differ; the signed zeros and the NaN
+/// pin `total_cmp` semantics.
+const COSTS: [f64; 8] = [0.5, 1.0, 2.0, 3.5, 0.0, -0.0, 1e300, f64::NAN];
+
+/// `(key index, cost index)` lists; a 24-key space forces duplicates.
+fn costed_keys() -> impl Strategy<Value = Vec<(usize, usize)>> {
+    prop::collection::vec((0usize..24, 0usize..COSTS.len()), 0..60)
+}
+
+/// Keys of several lengths, so byte order differs from index order.
+fn merge_key(i: usize) -> Vec<u8> {
+    format!("{}{i}", "n".repeat(i % 3)).into_bytes()
+}
+
+/// The reference merge: sort by key (max cost first), keep the first of
+/// each key, then sort by descending cost and ascending key.
+fn reference_merge<'a>(input: &BuildInput<'a>) -> Vec<(&'a [u8], f64)> {
+    let mut merged: Vec<(&'a [u8], f64)> = input
+        .costed_negatives
+        .iter()
+        .chain(input.hints.iter())
+        .copied()
+        .collect();
+    merged.sort_by(|a, b| a.0.cmp(b.0).then_with(|| b.1.total_cmp(&a.1)));
+    merged.dedup_by(|a, b| a.0 == b.0);
+    merged.sort_by(|a, b| b.1.total_cmp(&a.1).then_with(|| a.0.cmp(b.0)));
+    merged
+}
 
 fn member_key(i: usize) -> Vec<u8> {
     format!("member:{i:06}").into_bytes()
@@ -148,5 +181,28 @@ proptest! {
         for pair in stored.windows(2) {
             prop_assert!(pair[0].1 >= pair[1].1, "stored hints not descending");
         }
+    }
+
+    /// `merged_negatives` returns exactly the reference merge's Vec —
+    /// same keys, same cost bits, same order — over duplicates inside
+    /// the costed set, inside the hints and across the two, cost ties
+    /// between keys, and empty inputs.
+    #[test]
+    fn merged_negatives_matches_the_reference_merge(
+        costed in costed_keys(),
+        hinted in costed_keys(),
+    ) {
+        let owned = |list: &[(usize, usize)]| -> Vec<(Vec<u8>, f64)> {
+            list.iter().map(|&(k, c)| (merge_key(k), COSTS[c])).collect()
+        };
+        let (costed, hinted) = (owned(&costed), owned(&hinted));
+        let members: Vec<Vec<u8>> = Vec::new();
+        let input = BuildInput::from_members(&members)
+            .with_costed_negatives(&costed)
+            .with_hints(&hinted);
+        let bits = |v: Vec<(&[u8], f64)>| -> Vec<(Vec<u8>, u64)> {
+            v.into_iter().map(|(k, c)| (k.to_vec(), c.to_bits())).collect()
+        };
+        prop_assert_eq!(bits(input.merged_negatives()), bits(reference_merge(&input)));
     }
 }

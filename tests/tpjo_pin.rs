@@ -11,7 +11,7 @@
 //! change, not a test to re-pin.
 
 use habf::core::BuildStats;
-use habf::prelude::{DynFilter, Filter, FpLog, Habf, HabfConfig};
+use habf::prelude::{BuildInput, DynFilter, Filter, FilterSpec, FpLog, Habf, HabfConfig};
 
 const SEED: u64 = 0x5eed_7a10;
 
@@ -124,4 +124,74 @@ fn hinted_rebuild_is_pinned() {
         [20_000, 22_048, 3_660, 2_288, 1_169, 48, 2_288, 251],
         (15_120, 3_945_502_599_326_490_334),
     );
+}
+
+/// Cost-annotated keys, as `BuildInput` borrows them.
+type Costed = Vec<(Vec<u8>, f64)>;
+
+/// The registry path: `FilterSpec::build` and `Rebuildable::rebuild`
+/// consume a `BuildInput` through `merged_negatives`, which the direct
+/// `Habf::build` pins above never reach. Duplicate keys inside the costed
+/// set, inside the hints and across the two all go through the merge.
+fn registry_negatives_and_hints() -> (Costed, Costed) {
+    let mut neg = negatives("neg", 20_000, false);
+    // Every 7th key again, once cheaper and once costlier.
+    let repeats: Costed = neg
+        .iter()
+        .step_by(7)
+        .flat_map(|(k, c)| [(k.clone(), c * 0.5), (k.clone(), c + 3.0)])
+        .collect();
+    neg.extend(repeats);
+    // Hints: raise every 11th costed key, repeat a few hints, and add
+    // keys the costed set lacks.
+    let mut hints: Costed = neg
+        .iter()
+        .take(20_000)
+        .step_by(11)
+        .map(|(k, c)| (k.clone(), c + 5.0))
+        .collect();
+    hints.extend(negatives("hint", 3_000, true));
+    hints.extend(negatives("hint", 500, false));
+    (neg, hints)
+}
+
+/// v2 container digests of a `habf` build, a `sharded-habf` build, and a
+/// hinted `Rebuildable::rebuild` of a hint-free `habf` build.
+fn registry_digests() -> [(usize, u64); 3] {
+    let pos = positives(20_000);
+    let (neg, hints) = registry_negatives_and_hints();
+    let costed = BuildInput::from_members(&pos).with_costed_negatives(&neg);
+    let hinted = costed.clone().with_hints(&hints);
+    let habf = FilterSpec::habf().bits_per_key(6.0).seed(SEED);
+    let sharded = FilterSpec::sharded(4).bits_per_key(6.0).seed(SEED);
+
+    let built = habf.build(&hinted).expect("habf build");
+    let built_sharded = sharded.build(&hinted).expect("sharded build");
+    let mut rebuilt = habf.build(&costed).expect("habf build");
+    rebuilt
+        .as_rebuildable()
+        .expect("habf rebuilds")
+        .rebuild(&hinted, SEED)
+        .expect("rebuild");
+    for filter in [&built, &built_sharded, &rebuilt] {
+        assert!(pos.iter().all(|k| filter.contains(k)), "member dropped");
+    }
+    [&built, &built_sharded, &rebuilt].map(|f| digest(&f.to_container_bytes()))
+}
+
+#[test]
+fn registry_builds_and_hinted_rebuild_are_pinned() {
+    let pinned = registry_digests();
+    // A same-seed rebuild over the same input reproduces the fresh build.
+    assert_eq!(
+        pinned,
+        [
+            (15_120, 4_145_116_424_823_943_636),
+            (15_424, 9_587_930_181_500_044_536),
+            (15_120, 4_145_116_424_823_943_636),
+        ],
+        "image drifted"
+    );
+    let _off = habf::util::prefetch::scoped(false);
+    assert_eq!(registry_digests(), pinned, "prefetch changed the image");
 }
