@@ -1,4 +1,4 @@
-//! The rule registry: nine repo-specific invariants.
+//! The rule registry: ten repo-specific invariants.
 //!
 //! Every rule reports [`Finding`]s anchored at a `file:line` so inline
 //! `habf-lint: allow(...)` suppressions (see [`crate::engine`]) can target
@@ -47,6 +47,7 @@ pub fn all() -> Vec<Box<dyn Rule>> {
         Box::new(NoUnwrapInServe),
         Box::new(BenchArtifactParity),
         Box::new(NoBlockInReactor),
+        Box::new(OneProbePipeline),
     ]
 }
 
@@ -902,6 +903,48 @@ impl Rule for NoBlockInReactor {
                         });
                     }
                 }
+            }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
+// Rule 10: one-probe-pipeline
+// ---------------------------------------------------------------------
+
+struct OneProbePipeline;
+
+/// The batch-probe pipeline: the one module that may name the chunk size.
+const PIPELINE_FILE: &str = "crates/filters/src/pipeline.rs";
+
+impl Rule for OneProbePipeline {
+    fn id(&self) -> &'static str {
+        "one-probe-pipeline"
+    }
+    fn description(&self) -> &'static str {
+        "`PROBE_CHUNK` is used only by the batch-probe pipeline \
+         (crates/filters/src/pipeline.rs): batch probes run through \
+         `pipeline::drive`, never a hand-rolled chunk loop"
+    }
+    fn check(&self, ws: &Workspace, out: &mut Vec<Finding>) {
+        for f in ws
+            .files()
+            .iter()
+            .filter(|f| !f.rel.ends_with(PIPELINE_FILE))
+        {
+            let b = f.masked.as_bytes();
+            let mut i = 0;
+            while let Some(pos) = find_word(b, b"PROBE_CHUNK", i) {
+                i = pos + "PROBE_CHUNK".len();
+                out.push(Finding {
+                    rule: self.id(),
+                    file: f.rel.clone(),
+                    line: f.line_of(pos),
+                    message: "`PROBE_CHUNK` outside the batch-probe pipeline: implement \
+                              `ProbeKernel` and call `pipeline::drive` instead of \
+                              chunking by hand"
+                        .to_string(),
+                });
             }
         }
     }

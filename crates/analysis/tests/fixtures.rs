@@ -8,7 +8,7 @@ use std::process::Command;
 
 use habf_analysis::{analyze, report, Report, Workspace};
 
-const RULES: [&str; 9] = [
+const RULES: [&str; 10] = [
     "decode-no-panic",
     "alloc-cap-before-len",
     "safety-comment",
@@ -18,6 +18,7 @@ const RULES: [&str; 9] = [
     "no-unwrap-in-serve",
     "bench-artifact-parity",
     "no-block-in-reactor",
+    "one-probe-pipeline",
 ];
 
 fn fixture_root(rule: &str, variant: &str) -> PathBuf {

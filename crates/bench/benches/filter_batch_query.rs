@@ -7,7 +7,7 @@
 //! threads. All shard counts share one total space budget.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use habf_core::{Habf, HabfConfig, ShardedConfig, ShardedHabf};
+use habf_core::{probe, Habf, HabfConfig, ShardedConfig, ShardedHabf};
 use habf_filters::Filter;
 
 fn bench_batch_query(c: &mut Criterion) {
@@ -34,7 +34,7 @@ fn bench_batch_query(c: &mut Criterion) {
             b.iter(|| filter.contains_batch(black_box(&probe)))
         });
         group.bench_function(format!("{shards}-shard/batch-par"), |b| {
-            b.iter(|| filter.contains_batch_par(black_box(&probe), 4))
+            b.iter(|| probe::batch_par(black_box(&probe), 4, |keys| filter.contains_batch(keys)))
         });
         group.bench_function(format!("{shards}-shard/scalar"), |b| {
             b.iter(|| {

@@ -4,10 +4,10 @@
 //! The perf claim this suite pins down: a chunked hash→prefetch→test
 //! pipeline over a cache-line-blocked layout answers membership batches
 //! several times faster than the scalar loop the same filter serves one
-//! key at a time — because the pipeline keeps [`habf_filters::PROBE_CHUNK`]
-//! cache-line fetches in flight instead of stalling on each one, and the
-//! blocked layouts pay one line per query where the standard layouts pay
-//! `k`.
+//! key at a time — because the pipeline keeps
+//! [`habf_filters::pipeline::PROBE_CHUNK`] cache-line fetches in flight
+//! instead of stalling on each one, and the blocked layouts pay one line
+//! per query where the standard layouts pay `k`.
 //!
 //! Every row is one registered filter id built over the same workload at
 //! the same budget, measured four ways: scalar loop, batch with software

@@ -34,7 +34,7 @@ use crate::persist::{self, Decoded, PersistError};
 use crate::tpjo::{self, BuildStats, TpjoConfig};
 use crate::HabfConfig;
 use habf_filters::blocked_bloom::BLOCK_BITS;
-use habf_filters::Filter;
+use habf_filters::{Filter, ProbeKernel};
 use habf_hashing::classic::wang_mix64;
 use habf_hashing::{calibrate, HashFamily, HashFunction, HashId, HashProvider};
 use habf_util::{Backing, BitVec};
@@ -317,13 +317,6 @@ impl BlockedHabf {
         self.stats = out.stats;
     }
 
-    /// Issues a prefetch for the one cache line `key`'s Bloom probes
-    /// live in (the batch pipeline's phase-1 call).
-    #[inline]
-    pub fn prefetch_key(&self, key: &[u8]) {
-        self.bloom.prefetch_bit(self.family.block_start(key));
-    }
-
     #[inline]
     fn round1_at(&self, start: usize, key: &[u8]) -> bool {
         self.h0
@@ -332,7 +325,7 @@ impl BlockedHabf {
     }
 
     /// The two-round query with the block start already resolved — the
-    /// second phase of the batch pipeline.
+    /// test step of the batch pipeline.
     #[inline]
     fn contains_at(&self, start: usize, key: &[u8]) -> bool {
         if self.round1_at(start, key) {
@@ -343,38 +336,6 @@ impl BlockedHabf {
                 .iter()
                 .all(|&id| self.bloom.get_probe(start + self.family.offset(id, key))),
             None => false,
-        }
-    }
-
-    /// Batch membership: resolve every chunk key's block and prefetch
-    /// its line, then run the two-round query — round 1 (and any round-2
-    /// re-test) hits an already-resident cache line.
-    pub fn contains_batch_into(&self, keys: &[&[u8]], out: &mut Vec<bool>) {
-        out.clear();
-        out.reserve(keys.len());
-        let prefetch = habf_util::prefetch::enabled();
-        let mut starts = [0usize; habf_filters::PROBE_CHUNK];
-        for chunk in keys.chunks(habf_filters::PROBE_CHUNK) {
-            if prefetch {
-                // Pull the key bytes in first: on a large shuffled batch
-                // the keys themselves are heap-random reads.
-                for key in chunk {
-                    habf_util::prefetch::prefetch_bytes(key);
-                }
-            }
-            for (slot, key) in starts.iter_mut().zip(chunk) {
-                let start = self.family.block_start(key);
-                *slot = start;
-                if prefetch {
-                    self.bloom.prefetch_bit(start);
-                }
-            }
-            out.extend(
-                starts[..chunk.len()]
-                    .iter()
-                    .zip(chunk)
-                    .map(|(&start, key)| self.contains_at(start, key)),
-            );
         }
     }
 
@@ -432,6 +393,27 @@ impl BlockedHabf {
     /// on untrusted bytes.
     pub fn from_bytes(buf: &[u8]) -> Result<Self, PersistError> {
         Self::try_from_decoded(persist::decode(buf, 2)?)
+    }
+}
+
+/// Plans one block start per key (prefetching its line); the two-round
+/// test, round 2 included, then hits that already-resident line.
+impl ProbeKernel for BlockedHabf {
+    type Plan = usize;
+
+    #[inline]
+    fn plan(&self, key: &[u8], plan: &mut Vec<usize>, prefetch: bool) {
+        let start = self.family.block_start(key);
+        if prefetch {
+            self.bloom.prefetch_bit(start);
+        }
+        plan.push(start);
+    }
+
+    #[inline]
+    fn test(&self, key: &[u8], plan: &[usize]) -> bool {
+        plan.first()
+            .is_some_and(|&start| self.contains_at(start, key))
     }
 }
 
@@ -543,29 +525,6 @@ mod tests {
             b_rate <= s_rate * 2.5 + 0.01,
             "blocked FPR {b_rate:.4} too far above standard {s_rate:.4}"
         );
-    }
-
-    #[test]
-    fn batch_agrees_with_scalar_with_and_without_prefetch() {
-        let pos = keys(2_000, "in");
-        let neg = costed(2_000, "neg");
-        let f = BlockedHabf::build(&pos, &neg, &config(2_000 * 10));
-        let mixed: Vec<Vec<u8>> = keys(400, "in")
-            .into_iter()
-            .chain(keys(400, "neg"))
-            .chain(keys(400, "stranger"))
-            .collect();
-        let refs: Vec<&[u8]> = mixed.iter().map(Vec::as_slice).collect();
-        let scalar: Vec<bool> = refs.iter().map(|k| f.contains(k)).collect();
-        let mut on = Vec::new();
-        let mut off = Vec::new();
-        f.contains_batch_into(&refs, &mut on);
-        {
-            let _prefetch_off = habf_util::prefetch::scoped(false);
-            f.contains_batch_into(&refs, &mut off);
-        }
-        assert_eq!(scalar, on);
-        assert_eq!(scalar, off);
     }
 
     #[test]

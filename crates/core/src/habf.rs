@@ -3,7 +3,7 @@
 
 use crate::hash_expressor::HashExpressor;
 use crate::tpjo::{self, BuildStats, TpjoConfig};
-use habf_filters::Filter;
+use habf_filters::{Filter, ProbeKernel};
 use habf_hashing::{HashFamily, HashId, HashProvider, FAMILY_SIZE};
 use habf_util::{Backing, BitVec};
 
@@ -288,33 +288,6 @@ impl Habf {
         }
     }
 
-    /// Phase 1 of the batch pipeline: computes `key`'s round-1 probe
-    /// positions **once**, appends them to `plan`, and (when `prefetch`)
-    /// hints their cache lines. Phase 2 ([`Habf::contains_planned`])
-    /// probes the same positions, so the pipeline never re-derives them —
-    /// an earlier prefetch design that re-hashed at test time cost more
-    /// than the hidden latency repaid.
-    #[inline]
-    pub fn plan_round1(&self, key: &[u8], plan: &mut Vec<usize>, prefetch: bool) {
-        let m = self.bloom.len();
-        for &id in &self.h0 {
-            let pos = self.family.position(id, key, m);
-            if prefetch {
-                self.bloom.prefetch_bit(pos);
-            }
-            plan.push(pos);
-        }
-    }
-
-    /// Phase 2 of the batch pipeline: finishes the two-round query given
-    /// the round-1 positions [`Habf::plan_round1`] derived for this key.
-    /// Round 2 still hashes, but it only runs for round-1 misses.
-    #[inline]
-    #[must_use]
-    pub fn contains_planned(&self, key: &[u8], plan: &[usize]) -> bool {
-        self.bloom.all_set(plan) || self.round2(key)
-    }
-
     /// Where this filter's payload words live: `owned` after a build or a
     /// copying load, a shared/mmap view after a zero-copy load — until
     /// the first mutation promotes the touched part to owned words.
@@ -453,6 +426,32 @@ impl Filter for Habf {
     }
 }
 
+/// The batch pipeline's split of the two-round query: `plan` derives the
+/// round-1 (`H0`) positions **once** and hints their lines; `test` probes
+/// exactly those positions and only a round-1 miss pays for round 2. An
+/// earlier prefetch design that re-hashed at test time cost more than the
+/// hidden latency repaid.
+impl ProbeKernel for Habf {
+    type Plan = usize;
+
+    #[inline]
+    fn plan(&self, key: &[u8], plan: &mut Vec<usize>, prefetch: bool) {
+        let m = self.bloom.len();
+        for &id in &self.h0 {
+            let pos = self.family.position(id, key, m);
+            if prefetch {
+                self.bloom.prefetch_bit(pos);
+            }
+            plan.push(pos);
+        }
+    }
+
+    #[inline]
+    fn test(&self, key: &[u8], plan: &[usize]) -> bool {
+        self.bloom.all_set(plan) || self.round2(key)
+    }
+}
+
 /// The fast variant (paper §III-G): the whole family is simulated by
 /// double hashing from one 128-bit base hash, and Γ is disabled during
 /// construction.
@@ -536,41 +535,6 @@ impl FHabf {
         self.bloom.backing().combine(self.he.cells().backing())
     }
 
-    /// Phase 1 of the batch pipeline (see [`Habf::plan_round1`]): one
-    /// xxh128 evaluation derives all round-1 positions, which are
-    /// appended to `plan` and (when `prefetch`) hinted. Only round-1
-    /// misses pay a second base-hash evaluation, in
-    /// [`FHabf::contains_planned`]'s round 2.
-    #[inline]
-    pub fn plan_round1(&self, key: &[u8], plan: &mut Vec<usize>, prefetch: bool) {
-        let bound = habf_hashing::double::KeyBoundSimulated::new(&self.family, key);
-        let m = self.bloom.len();
-        for &id in &self.h0 {
-            let pos = bound.position(id, key, m);
-            if prefetch {
-                self.bloom.prefetch_bit(pos);
-            }
-            plan.push(pos);
-        }
-    }
-
-    /// Phase 2 of the batch pipeline (see [`Habf::contains_planned`]).
-    #[inline]
-    #[must_use]
-    pub fn contains_planned(&self, key: &[u8], plan: &[usize]) -> bool {
-        if self.bloom.all_set(plan) {
-            return true;
-        }
-        let bound = habf_hashing::double::KeyBoundSimulated::new(&self.family, key);
-        let m = self.bloom.len();
-        match self.he.query(key, &bound) {
-            Some(phi) => phi
-                .iter()
-                .all(|&id| self.bloom.get_probe(bound.position(id, key, m))),
-            None => false,
-        }
-    }
-
     /// The persist image of this filter (see [`Habf::image`]).
     pub(crate) fn image(&self) -> crate::persist::Image<'_> {
         crate::persist::Image {
@@ -647,6 +611,41 @@ impl Filter for FHabf {
 
     fn name(&self) -> &'static str {
         "f-HABF"
+    }
+}
+
+/// As for [`Habf`]: one xxh128 evaluation derives all round-1
+/// positions; only round-1 misses pay a second base-hash evaluation, in
+/// round 2.
+impl ProbeKernel for FHabf {
+    type Plan = usize;
+
+    #[inline]
+    fn plan(&self, key: &[u8], plan: &mut Vec<usize>, prefetch: bool) {
+        let bound = habf_hashing::double::KeyBoundSimulated::new(&self.family, key);
+        let m = self.bloom.len();
+        for &id in &self.h0 {
+            let pos = bound.position(id, key, m);
+            if prefetch {
+                self.bloom.prefetch_bit(pos);
+            }
+            plan.push(pos);
+        }
+    }
+
+    #[inline]
+    fn test(&self, key: &[u8], plan: &[usize]) -> bool {
+        if self.bloom.all_set(plan) {
+            return true;
+        }
+        let bound = habf_hashing::double::KeyBoundSimulated::new(&self.family, key);
+        let m = self.bloom.len();
+        match self.he.query(key, &bound) {
+            Some(phi) => phi
+                .iter()
+                .all(|&id| self.bloom.get_probe(bound.position(id, key, m))),
+            None => false,
+        }
     }
 }
 

@@ -1,19 +1,21 @@
 //! Batch-probe plumbing: [`BatchQuery`] capability impls for every
-//! single-structure filter with a chunked hash→prefetch→test pipeline,
-//! plus the shared thread fan-out helper.
+//! single-structure filter, plus the shared thread fan-out helper.
 //!
-//! Each filter's serial pipeline lives next to its data structure
-//! (`contains_batch_into`); this module adapts them all to the
-//! object-safe [`BatchQuery`] capability and adds the parallel path. The
-//! fan-out helper is deliberately dumb — contiguous key ranges, one
-//! worker per range — because the pipelines are embarrassingly parallel
-//! and input order must be preserved. Below
+//! Every batchable filter states its probe as a
+//! [`ProbeKernel`](habf_filters::ProbeKernel) and runs the one chunked
+//! schedule in [`habf_filters::pipeline`]; this module adapts those
+//! kernels to the object-safe [`BatchQuery`] capability, and
+//! [`batch_par`] adds the parallel path for them and for the sharded
+//! filters alike. The fan-out is deliberately dumb — contiguous key
+//! ranges, one worker per range — because probes are embarrassingly
+//! parallel and input order must be preserved. Below
 //! [`MIN_KEYS_PER_THREAD`] keys per worker the spawn overhead exceeds
 //! the probe work, so small batches run serially no matter how many
 //! threads were requested.
 
 use crate::blocked::BlockedHabf;
 use crate::filter_api::BatchQuery;
+use habf_filters::pipeline;
 use habf_filters::{BinaryFuseFilter, BlockedBloomFilter, BloomFilter, WeightedBloomFilter};
 
 /// Minimum keys a batch worker must receive before thread fan-out pays
@@ -33,56 +35,42 @@ pub(crate) fn effective_threads(threads: usize, keys: usize) -> usize {
     requested.min(keys / MIN_KEYS_PER_THREAD).max(1)
 }
 
-/// Runs a serial batch pipeline across contiguous key ranges on scoped
-/// workers, preserving input order.
-pub(crate) fn batch_par<F>(keys: &[&[u8]], threads: usize, run: F) -> Vec<bool>
+/// Runs a serial batch probe `run` across contiguous key ranges on
+/// `threads` scoped workers (`0` = automatic), preserving input order.
+/// Reads share the filter through `run`'s borrow; no locks are taken.
+pub fn batch_par<K, F>(keys: &[K], threads: usize, run: F) -> Vec<bool>
 where
-    F: Fn(&[&[u8]], &mut Vec<bool>) + Sync,
+    K: AsRef<[u8]> + Sync,
+    F: Fn(&[K]) -> Vec<bool> + Sync,
 {
     let threads = effective_threads(threads, keys.len());
-    let mut out = Vec::new();
     if threads <= 1 {
-        run(keys, &mut out);
-        return out;
+        return run(keys);
     }
     let chunk = keys.len().div_ceil(threads);
     let run = &run;
     let parts: Vec<Vec<bool>> = std::thread::scope(|s| {
         let handles: Vec<_> = keys
             .chunks(chunk)
-            .map(|range| {
-                s.spawn(move || {
-                    let mut part = Vec::new();
-                    run(range, &mut part);
-                    part
-                })
-            })
+            .map(|range| s.spawn(move || run(range)))
             .collect();
         handles
             .into_iter()
             .map(|h| h.join().expect("batch worker panicked"))
             .collect()
     });
-    out.reserve(keys.len());
-    for part in parts {
-        out.extend_from_slice(&part);
-    }
-    out
+    parts.concat()
 }
 
 macro_rules! impl_batch_query {
     ($($ty:ty),+ $(,)?) => {$(
         impl BatchQuery for $ty {
             fn contains_batch(&self, keys: &[&[u8]]) -> Vec<bool> {
-                let mut out = Vec::new();
-                self.contains_batch_into(keys, &mut out);
-                out
+                pipeline::contains_batch(self, keys)
             }
 
             fn contains_batch_par(&self, keys: &[&[u8]], threads: usize) -> Vec<bool> {
-                batch_par(keys, threads, |range, out| {
-                    self.contains_batch_into(range, out);
-                })
+                batch_par(keys, threads, |range| pipeline::contains_batch(self, range))
             }
         }
     )+};

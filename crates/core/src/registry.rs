@@ -524,7 +524,7 @@ impl<F: ShardFilter> BatchQuery for ShardedHabf<F> {
     }
 
     fn contains_batch_par(&self, keys: &[&[u8]], threads: usize) -> Vec<bool> {
-        ShardedHabf::contains_batch_par(self, keys, threads)
+        crate::probe::batch_par(keys, threads, |range| self.contains_batch(range))
     }
 }
 

@@ -49,7 +49,7 @@
 
 use crate::habf::{ConfigError, FHabf, Habf, HabfConfig};
 use crate::persist::{self, PersistError};
-use habf_filters::Filter;
+use habf_filters::{pipeline, Filter, ProbeKernel};
 use std::cell::RefCell;
 use std::sync::Arc;
 
@@ -69,8 +69,9 @@ const SHARD_SEED_STRIDE: u64 = 0x9E37_79B9_7F4A_7C15;
 
 /// A filter type that can serve as one shard of a [`ShardedHabf`]:
 /// buildable from a key partition, persistable, and queryable from many
-/// threads at once.
-pub trait ShardFilter: Filter + Sized + Send + Sync {
+/// threads at once. Batches probe each shard through its
+/// [`ProbeKernel`], whose plan is the key's round-1 bit positions.
+pub trait ShardFilter: Filter + ProbeKernel<Plan = usize> + Sized + Send + Sync {
     /// Persist-format kind byte (`0` = HABF, `1` = f-HABF), shared with
     /// the unsharded image format.
     const KIND: u8;
@@ -94,21 +95,6 @@ pub trait ShardFilter: Filter + Sized + Send + Sync {
     /// Where this shard's payload words live (owned heap vs a shared or
     /// mmap'ed image view).
     fn shard_backing(&self) -> habf_util::Backing;
-
-    /// Phase 1 of the batch pipeline: derive (and, when `prefetch`,
-    /// cache-hint) the probe positions this shard will test first for
-    /// `key`, appending them to `plan`. Default: plans nothing, for
-    /// shard types without a plannable probe phase.
-    #[inline]
-    fn plan_probe(&self, _key: &[u8], _plan: &mut Vec<usize>, _prefetch: bool) {}
-
-    /// Phase 2 of the batch pipeline: answer membership given the
-    /// positions [`ShardFilter::plan_probe`] appended for this key.
-    /// Default: ignores the plan and runs the scalar query.
-    #[inline]
-    fn contains_planned(&self, key: &[u8], _plan: &[usize]) -> bool {
-        self.contains(key)
-    }
 }
 
 impl ShardFilter for Habf {
@@ -133,14 +119,6 @@ impl ShardFilter for Habf {
     fn shard_backing(&self) -> habf_util::Backing {
         self.backing()
     }
-
-    fn plan_probe(&self, key: &[u8], plan: &mut Vec<usize>, prefetch: bool) {
-        self.plan_round1(key, plan, prefetch);
-    }
-
-    fn contains_planned(&self, key: &[u8], plan: &[usize]) -> bool {
-        Habf::contains_planned(self, key, plan)
-    }
 }
 
 impl ShardFilter for FHabf {
@@ -164,14 +142,6 @@ impl ShardFilter for FHabf {
 
     fn shard_backing(&self) -> habf_util::Backing {
         self.backing()
-    }
-
-    fn plan_probe(&self, key: &[u8], plan: &mut Vec<usize>, prefetch: bool) {
-        self.plan_round1(key, plan, prefetch);
-    }
-
-    fn contains_planned(&self, key: &[u8], plan: &[usize]) -> bool {
-        FHabf::contains_planned(self, key, plan)
     }
 }
 
@@ -198,8 +168,7 @@ pub struct ShardedConfig {
     /// `(splitter_seed, shards)` pair, so the count is persisted with the
     /// filter.
     pub shards: usize,
-    /// Worker threads for [`ShardedHabf::build_par`] and
-    /// [`ShardedHabf::contains_batch_par`]; `0` uses
+    /// Worker threads for [`ShardedHabf::build_par`]; `0` uses
     /// `min(shards, available_parallelism)`.
     pub threads: usize,
     /// Seed of the dedicated splitter hash routing keys to shards.
@@ -414,12 +383,8 @@ impl<F: ShardFilter> ShardedHabf<F> {
 
     /// Queries a batch in input order, grouped by shard so each shard's
     /// Bloom array and HashExpressor stay cache-resident while their keys
-    /// drain. Each group runs the chunked plan→prefetch→test pipeline:
-    /// phase 1 hints the key bytes of the chunk, derives every key's
-    /// first-round probe positions **once** ([`ShardFilter::plan_probe`])
-    /// and hints their cache lines; phase 2 tests the planned positions
-    /// with the lines (likely) resident. Positions are never re-derived —
-    /// hashing each key twice costs more than the hidden latency repays.
+    /// drain. Each group runs through [`pipeline::drive`] over its slice of
+    /// the grouped key order, writing answers back by key index.
     ///
     /// All scratch (per-key shard ids, group offsets, the grouped order,
     /// the probe plan and its per-key bounds) lives in a thread-local and
@@ -428,7 +393,6 @@ impl<F: ShardFilter> ShardedHabf<F> {
     #[must_use]
     pub fn contains_batch(&self, keys: &[impl AsRef<[u8]>]) -> Vec<bool> {
         let n = self.shards.len();
-        let prefetch = habf_util::prefetch::enabled();
         let mut out = vec![false; keys.len()];
         BATCH_SCRATCH.with(|cell| {
             let scratch = &mut *cell.borrow_mut();
@@ -463,59 +427,15 @@ impl<F: ShardFilter> ShardedHabf<F> {
             let mut begin = 0;
             for (s, shard) in self.shards.iter().enumerate() {
                 let end = starts[s];
-                for chunk in order[begin..end].chunks(habf_filters::PROBE_CHUNK) {
-                    if prefetch {
-                        for &idx in chunk {
-                            habf_util::prefetch::prefetch_bytes(keys[idx as usize].as_ref());
-                        }
-                    }
-                    plan.clear();
-                    plan_ends.clear();
-                    for &idx in chunk {
-                        shard.plan_probe(keys[idx as usize].as_ref(), plan, prefetch);
-                        plan_ends.push(plan.len());
-                    }
-                    let mut from = 0;
-                    for (&idx, &to) in chunk.iter().zip(plan_ends.iter()) {
-                        out[idx as usize] =
-                            shard.contains_planned(keys[idx as usize].as_ref(), &plan[from..to]);
-                        from = to;
-                    }
-                }
+                pipeline::drive(
+                    shard.as_ref(),
+                    &order[begin..end],
+                    |&idx| keys[idx as usize].as_ref(),
+                    plan,
+                    plan_ends,
+                    |&idx, hit| out[idx as usize] = hit,
+                );
                 begin = end;
-            }
-        });
-        out
-    }
-
-    /// [`ShardedHabf::contains_batch`] fanned out over `threads` scoped
-    /// worker threads (`0` = automatic). Reads share the immutable shards
-    /// through `&self`; no locks are taken. Batches too small to amortize
-    /// a spawn ([`crate::probe::MIN_KEYS_PER_THREAD`] keys per worker)
-    /// run serially no matter how many threads were requested.
-    #[must_use]
-    pub fn contains_batch_par(
-        &self,
-        keys: &[impl AsRef<[u8]> + Sync],
-        threads: usize,
-    ) -> Vec<bool> {
-        let threads = crate::probe::effective_threads(threads, keys.len());
-        if threads <= 1 {
-            return self.contains_batch(keys);
-        }
-        let chunk = keys.len().div_ceil(threads);
-        let mut out = vec![false; keys.len()];
-        std::thread::scope(|s| {
-            let chunks = keys.chunks(chunk).zip(out.chunks_mut(chunk));
-            let handles: Vec<_> = chunks
-                .map(|(keys, out)| {
-                    // Each worker runs the shard-grouped batch over its
-                    // chunk, keeping the cache-locality win per thread.
-                    s.spawn(move || out.copy_from_slice(&self.contains_batch(keys)))
-                })
-                .collect();
-            for h in handles {
-                h.join().expect("batch query worker panicked");
             }
         });
         out
@@ -843,31 +763,11 @@ mod tests {
         let mut probe = pos.clone();
         probe.extend(keys(2_000, "fresh"));
         let batch = f.contains_batch(&probe);
-        let par = f.contains_batch_par(&probe, 4);
+        let par = crate::probe::batch_par(&probe, 4, |keys| f.contains_batch(keys));
         for (i, key) in probe.iter().enumerate() {
             assert_eq!(batch[i], f.contains(key), "batch diverged at {i}");
             assert_eq!(par[i], batch[i], "parallel batch diverged at {i}");
         }
-    }
-
-    #[test]
-    fn batch_agrees_with_and_without_prefetch_and_tiny_batches_stay_serial() {
-        let (pos, neg) = workload(1_200);
-        let f = ShardedHabf::<Habf>::build_par(&pos, &neg, &config(4, 1_200 * 10));
-        let mut probe = pos.clone();
-        probe.extend(keys(1_200, "fresh"));
-
-        let cold = {
-            let _prefetch_off = habf_util::prefetch::scoped(false);
-            f.contains_batch(&probe)
-        };
-        let warm = f.contains_batch(&probe);
-        assert_eq!(cold, warm, "prefetch must not change answers");
-
-        // Under MIN_KEYS_PER_THREAD per worker the parallel path runs
-        // serially and must still answer identically.
-        let tiny: Vec<&Vec<u8>> = probe.iter().take(100).collect();
-        assert_eq!(f.contains_batch_par(&tiny, 8), f.contains_batch(&tiny));
     }
 
     #[test]

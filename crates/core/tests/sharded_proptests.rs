@@ -5,7 +5,7 @@
 //! byte-identical to the plain unsharded build.
 
 use habf_core::sharded::ShardFilter;
-use habf_core::{Habf, HabfConfig, ShardedConfig, ShardedHabf};
+use habf_core::{probe, Habf, HabfConfig, ShardedConfig, ShardedHabf};
 use habf_filters::Filter;
 use proptest::prelude::*;
 
@@ -146,11 +146,11 @@ proptest! {
         }
     }
 
-    /// `contains_batch_par` agrees with the scalar loop for any batch
-    /// size × thread count — in particular tiny batches probed with far
-    /// more threads than keys, where the `div_ceil` chunking must
-    /// neither compute a zero chunk (`chunks(0)` panics) nor spawn an
-    /// empty-range worker nor drop the tail.
+    /// `probe::batch_par` over the sharded batch agrees with the scalar
+    /// loop for any batch size × thread count — in particular tiny
+    /// batches probed with far more threads than keys, where the
+    /// `div_ceil` chunking must neither compute a zero chunk (`chunks(0)`
+    /// panics) nor spawn an empty-range worker nor drop the tail.
     #[test]
     fn par_batch_agrees_on_tiny_batches_with_huge_thread_counts(
         keys in keys_strategy(),
@@ -173,7 +173,7 @@ proptest! {
 
         let serial: Vec<bool> = probe.iter().map(|k| f.contains(k)).collect();
         for t in [threads, probe.len() + 1, probe.len().saturating_mul(8)] {
-            let par = f.contains_batch_par(&probe, t);
+            let par = probe::batch_par(&probe, t, |keys| f.contains_batch(keys));
             prop_assert_eq!(&par, &serial, "threads={}", t);
         }
     }
@@ -200,7 +200,7 @@ fn par_batch_covers_the_uneven_tail_chunk() {
         .collect();
     let serial: Vec<bool> = probe.iter().map(|k| f.contains(k)).collect();
     for threads in [2, 3, 4, 5, 64, 1502] {
-        let par = f.contains_batch_par(&probe, threads);
+        let par = probe::batch_par(&probe, threads, |keys| f.contains_batch(keys));
         assert_eq!(par.len(), probe.len(), "threads={threads}: length");
         assert_eq!(par, serial, "threads={threads}: answers diverged");
     }

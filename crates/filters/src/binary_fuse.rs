@@ -19,7 +19,7 @@
 //! Fingerprints live in a [`PackedCells`] array over the copy-on-write
 //! word store, so images serve zero-copy like every other filter.
 
-use crate::Filter;
+use crate::{Filter, ProbeKernel};
 use habf_hashing::classic::wang_mix64;
 use habf_hashing::xxhash;
 use habf_util::PackedCells;
@@ -35,8 +35,10 @@ pub struct BinaryFuseFilter {
     items: usize,
 }
 
-#[derive(Clone, Copy)]
-struct KeyHashes {
+/// A key's three slots and fingerprint — its probe plan in the batch
+/// pipeline, derived from one hash evaluation.
+#[derive(Clone, Copy, Debug)]
+pub struct KeyHashes {
     slots: [usize; 3],
     fp: u32,
 }
@@ -115,6 +117,7 @@ impl BinaryFuseFilter {
     /// hash lands in `[0, seg_count · seg_len)`; slots 1 and 2 sit in
     /// the following two segments, displaced within their segment by
     /// 18-bit windows of the base hash (the reference's slot mapping).
+    #[inline]
     fn hashes(key: &[u8], seed: u64, seg_len: usize, seg_count: usize, fp_bits: u32) -> KeyHashes {
         let hash = wang_mix64(xxhash::xxh64(key, seed));
         let mask = (seg_len - 1) as u64;
@@ -274,8 +277,7 @@ impl BinaryFuseFilter {
         0.5f64.powi(self.fp_bits as i32)
     }
 
-    /// The three-probe xor test against a hoisted fingerprint word slice
-    /// (the batch pipeline resolves the word store once per chunk).
+    /// The three-probe xor test against a fingerprint word slice.
     #[inline]
     fn test_in(words: &[u64], h: &KeyHashes, width: u32) -> bool {
         let stored = habf_util::probe_cell_in(words, h.slots[0], width)
@@ -285,47 +287,33 @@ impl BinaryFuseFilter {
     }
 
     /// Membership with the slots/fingerprint already derived — the test
-    /// phase of the batch pipeline.
+    /// step of the batch pipeline.
     #[inline]
     fn contains_hashes(&self, h: &KeyHashes) -> bool {
         Self::test_in(self.fingerprints.words(), h, self.fp_bits)
     }
+}
 
-    /// Batch membership: derive every key's window, prefetch the first
-    /// slot's line (the 3-segment window usually spans 1–2 lines), then
-    /// test.
-    pub fn contains_batch_into(&self, keys: &[&[u8]], out: &mut Vec<bool>) {
-        out.clear();
-        out.reserve(keys.len());
-        let prefetch = habf_util::prefetch::enabled();
-        let words = self.fingerprints.words();
-        let width = self.fp_bits as usize;
-        let mut hashes = [KeyHashes {
-            slots: [0; 3],
-            fp: 0,
-        }; crate::PROBE_CHUNK];
-        for chunk in keys.chunks(crate::PROBE_CHUNK) {
-            if prefetch {
-                // Pull the key bytes in first: on a large shuffled batch
-                // the keys themselves are heap-random reads.
-                for key in chunk {
-                    habf_util::prefetch::prefetch_bytes(key);
-                }
-            }
-            for (slot, key) in hashes.iter_mut().zip(chunk) {
-                let h = Self::hashes(key, self.seed, self.seg_len, self.seg_count, self.fp_bits);
-                if prefetch {
-                    habf_util::prefetch::prefetch_words(words, h.slots[0] * width / 64);
-                    habf_util::prefetch::prefetch_words(words, h.slots[2] * width / 64);
-                }
-                *slot = h;
-            }
-            out.extend(
-                hashes[..chunk.len()]
-                    .iter()
-                    .map(|h| Self::test_in(words, h, self.fp_bits)),
-            );
+/// Plans a key's window and fingerprint (prefetching the first and last
+/// slot's lines: the 3-segment window usually spans 1–2 lines), then runs
+/// the three-probe xor test.
+impl ProbeKernel for BinaryFuseFilter {
+    type Plan = KeyHashes;
+
+    #[inline]
+    fn plan(&self, key: &[u8], plan: &mut Vec<KeyHashes>, prefetch: bool) {
+        let h = Self::hashes(key, self.seed, self.seg_len, self.seg_count, self.fp_bits);
+        if prefetch {
+            let (words, width) = (self.fingerprints.words(), self.fp_bits as usize);
+            habf_util::prefetch::prefetch_words(words, h.slots[0] * width / 64);
+            habf_util::prefetch::prefetch_words(words, h.slots[2] * width / 64);
         }
+        plan.push(h);
+    }
+
+    #[inline]
+    fn test(&self, _key: &[u8], plan: &[KeyHashes]) -> bool {
+        plan.first().is_some_and(|h| self.contains_hashes(h))
     }
 }
 
@@ -442,9 +430,7 @@ mod tests {
             .collect();
         let refs: Vec<&[u8]> = mixed.iter().map(Vec::as_slice).collect();
         let scalar: Vec<bool> = refs.iter().map(|k| f.contains(k)).collect();
-        let mut batch = Vec::new();
-        f.contains_batch_into(&refs, &mut batch);
-        assert_eq!(scalar, batch);
+        assert_eq!(scalar, crate::pipeline::contains_batch(&f, &refs));
     }
 
     #[test]

@@ -21,7 +21,7 @@
 //! so blocked images serve zero-copy from a shared/mmap image exactly
 //! like the other filters.
 
-use crate::Filter;
+use crate::{Filter, ProbeKernel};
 use habf_hashing::classic::wang_mix64;
 use habf_hashing::{calibrate, HashFunction};
 use habf_util::BitVec;
@@ -204,8 +204,7 @@ impl BlockedBloomFilter {
         Self::for_each_offset(h, k, |off| (block[off / 64] >> (off % 64)) & 1 == 1)
     }
 
-    /// The whole 512-bit block `h` selects, viewed from a hoisted word
-    /// slice (the batch pipeline resolves the word store once per chunk).
+    /// The whole 512-bit block `h` selects, viewed from a word slice.
     #[inline]
     fn block_in<'a>(&self, words: &'a [u64], h: u64) -> &'a [u64; BLOCK_WORDS] {
         let w = self.block_start(h) / 64;
@@ -214,50 +213,12 @@ impl BlockedBloomFilter {
             .expect("bit array spans whole 512-bit blocks")
     }
 
-    /// Membership test with the base hash already evaluated — the second
-    /// phase of the batch pipeline, after the block line was prefetched.
+    /// Membership test with the base hash already evaluated — the test
+    /// step of the batch pipeline, after the block line was prefetched.
     #[inline]
     #[must_use]
     pub fn contains_hashed(&self, h: u64) -> bool {
         Self::test_block(self.block_in(self.bits.words(), h), h, self.k)
-    }
-
-    /// Issues a prefetch for the cache line of the block `h` selects.
-    #[inline]
-    pub fn prefetch_hashed(&self, h: u64) {
-        self.bits.prefetch_bit(self.block_start(h));
-    }
-
-    /// Batch membership: hash every key of a chunk, prefetch each target
-    /// line, then test — the pattern that hides DRAM latency behind the
-    /// hash work of the following keys.
-    pub fn contains_batch_into(&self, keys: &[&[u8]], out: &mut Vec<bool>) {
-        out.clear();
-        out.reserve(keys.len());
-        let prefetch = habf_util::prefetch::enabled();
-        let words = self.bits.words();
-        let mut hashes = [0u64; crate::PROBE_CHUNK];
-        for chunk in keys.chunks(crate::PROBE_CHUNK) {
-            if prefetch {
-                // Pull the key bytes in first: on a large shuffled batch
-                // the keys themselves are heap-random reads.
-                for key in chunk {
-                    habf_util::prefetch::prefetch_bytes(key);
-                }
-            }
-            for (slot, key) in hashes.iter_mut().zip(chunk) {
-                let h = self.base_hash(key);
-                *slot = h;
-                if prefetch {
-                    habf_util::prefetch::prefetch_words(words, self.block_start(h) / 64);
-                }
-            }
-            out.extend(
-                hashes[..chunk.len()]
-                    .iter()
-                    .map(|&h| Self::test_block(self.block_in(words, h), h, self.k)),
-            );
-        }
     }
 
     /// The theoretical unblocked FPR at the current load — a lower bound;
@@ -268,6 +229,26 @@ impl BlockedBloomFilter {
         let n = self.items as f64;
         let m = self.bits.len() as f64;
         (1.0 - (-k * n / m).exp()).powf(k)
+    }
+}
+
+/// Plans one base hash per key (prefetching the block line it selects);
+/// the test derives all `k` offsets inside that block.
+impl ProbeKernel for BlockedBloomFilter {
+    type Plan = u64;
+
+    #[inline]
+    fn plan(&self, key: &[u8], plan: &mut Vec<u64>, prefetch: bool) {
+        let h = self.base_hash(key);
+        if prefetch {
+            self.bits.prefetch_bit(self.block_start(h));
+        }
+        plan.push(h);
+    }
+
+    #[inline]
+    fn test(&self, _key: &[u8], plan: &[u64]) -> bool {
+        plan.first().is_some_and(|&h| self.contains_hashed(h))
     }
 }
 
@@ -319,27 +300,6 @@ mod tests {
             b_rate <= s_rate * 2.5 + 0.01,
             "blocked FPR {b_rate:.4} too far above standard {s_rate:.4}"
         );
-    }
-
-    #[test]
-    fn batch_agrees_with_scalar_with_and_without_prefetch() {
-        let pos = keys(3_000, "in");
-        let f = BlockedBloomFilter::build(&pos, 3_000 * 10);
-        let mixed: Vec<Vec<u8>> = keys(500, "in")
-            .into_iter()
-            .chain(keys(500, "out"))
-            .collect();
-        let refs: Vec<&[u8]> = mixed.iter().map(Vec::as_slice).collect();
-        let scalar: Vec<bool> = refs.iter().map(|k| f.contains(k)).collect();
-        let mut on = Vec::new();
-        let mut off = Vec::new();
-        f.contains_batch_into(&refs, &mut on);
-        {
-            let _prefetch_off = habf_util::prefetch::scoped(false);
-            f.contains_batch_into(&refs, &mut off);
-        }
-        assert_eq!(scalar, on);
-        assert_eq!(scalar, off);
     }
 
     #[test]

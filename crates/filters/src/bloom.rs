@@ -9,7 +9,7 @@
 //! * Double hashing (Kirsch–Mitzenmacher) is also provided for the f-HABF
 //!   style fast path and ablations.
 
-use crate::Filter;
+use crate::{Filter, ProbeKernel};
 use habf_hashing::{city, xxhash, DoubleHasher, HashFamily, HashId, HashProvider};
 use habf_util::BitVec;
 
@@ -62,11 +62,10 @@ impl BloomHashStrategy {
         }
     }
 
-    /// Writes the probe positions of `key` for a table of `m` bits into
-    /// `out` (cleared first). Using an out-parameter keeps the query path
-    /// allocation-free.
+    /// Appends the probe positions of `key` for a table of `m` bits to
+    /// `out`. Using an out-parameter keeps the query path allocation-free
+    /// and lets the batch pipeline stack a whole chunk's positions.
     pub fn positions_into(&self, key: &[u8], m: usize, out: &mut Vec<usize>) {
-        out.clear();
         debug_assert!(m > 0);
         match self {
             BloomHashStrategy::FamilyDistinct { ids } => {
@@ -226,40 +225,6 @@ impl BloomFilter {
         self.bits.fill_ratio()
     }
 
-    /// Batch membership with the prefetch pipeline: per chunk, hash every
-    /// key and prefetch all its probe bits, then test. By the time the
-    /// first key's bits are tested, its cache lines are in flight behind
-    /// the hash work of the rest of the chunk.
-    pub fn contains_batch_into(&self, keys: &[&[u8]], out: &mut Vec<bool>) {
-        out.clear();
-        out.reserve(keys.len());
-        let prefetch = habf_util::prefetch::enabled();
-        let m = self.bits.len();
-        let k = self.strategy.k();
-        let mut flat: Vec<usize> = Vec::with_capacity(crate::PROBE_CHUNK * k);
-        let mut scratch: Vec<usize> = Vec::with_capacity(k);
-        for chunk in keys.chunks(crate::PROBE_CHUNK) {
-            flat.clear();
-            if prefetch {
-                // Pull the key bytes in first: on a large shuffled batch
-                // the keys themselves are heap-random reads.
-                for key in chunk {
-                    habf_util::prefetch::prefetch_bytes(key);
-                }
-            }
-            for key in chunk {
-                self.strategy.positions_into(key, m, &mut scratch);
-                if prefetch {
-                    for &p in &scratch {
-                        self.bits.prefetch_bit(p);
-                    }
-                }
-                flat.extend_from_slice(&scratch);
-            }
-            out.extend(flat.chunks_exact(k).map(|group| self.bits.all_set(group)));
-        }
-    }
-
     /// The theoretical FPR `(1 - e^{-kn/m})^k` for the current load.
     #[must_use]
     pub fn theoretical_fpr(&self) -> f64 {
@@ -267,6 +232,28 @@ impl BloomFilter {
         let n = self.items as f64;
         let m = self.bits.len() as f64;
         (1.0 - (-k * n / m).exp()).powf(k)
+    }
+}
+
+/// Plans every probe position of a key (prefetching each word), then
+/// tests them all from cache.
+impl ProbeKernel for BloomFilter {
+    type Plan = usize;
+
+    #[inline]
+    fn plan(&self, key: &[u8], plan: &mut Vec<usize>, prefetch: bool) {
+        let from = plan.len();
+        self.strategy.positions_into(key, self.bits.len(), plan);
+        if prefetch {
+            for &p in &plan[from..] {
+                self.bits.prefetch_bit(p);
+            }
+        }
+    }
+
+    #[inline]
+    fn test(&self, _key: &[u8], plan: &[usize]) -> bool {
+        self.bits.all_set(plan)
     }
 }
 
@@ -388,8 +375,7 @@ mod tests {
         ] {
             let f = BloomFilter::build_with(&pos, 10_000, strategy);
             let scalar: Vec<bool> = refs.iter().map(|k| f.contains(k)).collect();
-            let mut batch = Vec::new();
-            f.contains_batch_into(&refs, &mut batch);
+            let batch = crate::pipeline::contains_batch(&f, &refs);
             assert_eq!(scalar, batch, "{} batch diverged", f.name());
         }
     }

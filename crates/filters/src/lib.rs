@@ -27,6 +27,7 @@ pub mod blocked_bloom;
 pub mod bloom;
 pub mod classifier;
 pub mod learned;
+pub mod pipeline;
 pub mod weighted_bloom;
 pub mod xor_filter;
 
@@ -35,6 +36,7 @@ pub use blocked_bloom::BlockedBloomFilter;
 pub use bloom::{BloomFilter, BloomHashStrategy};
 pub use classifier::{Classifier, LogisticRegression, MlpClassifier};
 pub use learned::{AdaptiveLearnedBloomFilter, LearnedBloomFilter, SandwichedLearnedBloomFilter};
+pub use pipeline::ProbeKernel;
 pub use weighted_bloom::WeightedBloomFilter;
 pub use xor_filter::XorFilter;
 
@@ -59,11 +61,6 @@ pub trait Filter: Send + Sync {
     /// Short display name used by the benchmark tables.
     fn name(&self) -> &'static str;
 }
-
-/// Keys hashed-and-prefetched ahead of the test phase per batch-probe
-/// chunk. 64 keys give the prefetcher enough outstanding lines to hide
-/// DRAM latency while the chunk's hashes stay in L1.
-pub const PROBE_CHUNK: usize = 64;
 
 /// Returns the paper's default hash count for a bits-per-key budget:
 /// `k = ln 2 · b` (Section II, "Bloom filter"), clamped to `1..=30`.

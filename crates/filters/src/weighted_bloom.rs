@@ -12,7 +12,7 @@
 //! cost list increasing"). The cache here is exactly that: a flat list of
 //! `(key-hash, k)` entries scanned linearly, as the paper describes.
 
-use crate::{optimal_k, Filter};
+use crate::{optimal_k, Filter, ProbeKernel};
 use habf_hashing::xxhash;
 use habf_util::BitVec;
 
@@ -185,47 +185,31 @@ impl WeightedBloomFilter {
     pub fn cache_bytes(&self) -> usize {
         self.cache.capacity() * core::mem::size_of::<(u64, u16)>()
     }
+}
 
-    /// Batch membership with the prefetch pipeline. Per-key `k` varies
-    /// (that is the point of WBF), so the chunk records each key's probe
-    /// count alongside the flat position list; the cost-cache walk and
-    /// double-hash derivation happen in the prefetch phase, hiding the
-    /// bit-array latency behind them.
-    pub fn contains_batch_into(&self, keys: &[&[u8]], out: &mut Vec<bool>) {
-        out.clear();
-        out.reserve(keys.len());
-        let prefetch = habf_util::prefetch::enabled();
+/// Plans a key's cost-cache lookup and all its probe positions, so the
+/// per-key `k` is the plan length; the cache walk and double-hash
+/// derivation hide the bit-array latency of the chunk's other keys.
+impl ProbeKernel for WeightedBloomFilter {
+    type Plan = usize;
+
+    #[inline]
+    fn plan(&self, key: &[u8], plan: &mut Vec<usize>, prefetch: bool) {
+        let k = self.k_for_key(key);
         let m = self.bits.len();
-        let mut flat: Vec<usize> = Vec::with_capacity(crate::PROBE_CHUNK * self.k_default);
-        let mut ks: Vec<usize> = Vec::with_capacity(crate::PROBE_CHUNK);
-        for chunk in keys.chunks(crate::PROBE_CHUNK) {
-            flat.clear();
-            ks.clear();
+        let h = habf_hashing::DoubleHasher::new(key, 0xB10F);
+        for i in 0..k as u64 {
+            let p = h.position(i, m);
             if prefetch {
-                // Pull the key bytes in first: on a large shuffled batch
-                // the keys themselves are heap-random reads.
-                for key in chunk {
-                    habf_util::prefetch::prefetch_bytes(key);
-                }
+                self.bits.prefetch_bit(p);
             }
-            for key in chunk {
-                let k = self.k_for_key(key);
-                let h = habf_hashing::DoubleHasher::new(key, 0xB10F);
-                for i in 0..k as u64 {
-                    let p = h.position(i, m);
-                    if prefetch {
-                        self.bits.prefetch_bit(p);
-                    }
-                    flat.push(p);
-                }
-                ks.push(k);
-            }
-            let mut off = 0;
-            for &k in &ks {
-                out.push(self.bits.all_set(&flat[off..off + k]));
-                off += k;
-            }
+            plan.push(p);
         }
+    }
+
+    #[inline]
+    fn test(&self, _key: &[u8], plan: &[usize]) -> bool {
+        self.bits.all_set(plan)
     }
 }
 
@@ -329,9 +313,7 @@ mod tests {
             .collect();
         let refs: Vec<&[u8]> = mixed.iter().map(Vec::as_slice).collect();
         let scalar: Vec<bool> = refs.iter().map(|k| f.contains(k)).collect();
-        let mut batch = Vec::new();
-        f.contains_batch_into(&refs, &mut batch);
-        assert_eq!(scalar, batch);
+        assert_eq!(scalar, crate::pipeline::contains_batch(&f, &refs));
     }
 
     #[test]

@@ -125,8 +125,21 @@ mod tests {
     // affect the whole test binary); we exercise the counter plumbing
     // directly instead.
 
+    /// The counters are process-global and these tests assert exact values
+    /// on them, so they must not run concurrently with each other.
+    static COUNTERS: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+    fn counters() -> std::sync::MutexGuard<'static, ()> {
+        // A failed test poisons the lock; the counters it leaves behind
+        // are rebased by every test's own baseline, so keep going.
+        COUNTERS
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
+
     #[test]
     fn counters_track_alloc_dealloc() {
+        let _serial = counters();
         let live0 = TrackingAllocator::live_bytes();
         on_alloc(1000);
         assert_eq!(TrackingAllocator::live_bytes(), live0 + 1000);
@@ -137,6 +150,7 @@ mod tests {
 
     #[test]
     fn reset_peak_rebases() {
+        let _serial = counters();
         on_alloc(5000);
         TrackingAllocator::reset_peak();
         let p = TrackingAllocator::peak_bytes();
@@ -146,6 +160,7 @@ mod tests {
 
     #[test]
     fn measure_reports_region_peak() {
+        let _serial = counters();
         let (val, peak) = TrackingAllocator::measure(|| {
             on_alloc(4096);
             on_dealloc(4096);

@@ -511,6 +511,9 @@ impl Words {
 }
 
 impl AsRef<[u64]> for Words {
+    /// Inlined so a probe kernel instantiated in another crate resolves
+    /// the store with a branch, not a call, on every key.
+    #[inline]
     fn as_ref(&self) -> &[u64] {
         match self {
             Words::Owned(words) => words,

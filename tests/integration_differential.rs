@@ -5,7 +5,7 @@
 //! exceed the plain Bloom baseline at equal space — the paper's central
 //! claim (§V, Fig 11).
 
-use habf::core::{Habf, HabfConfig, ShardedConfig, ShardedHabf};
+use habf::core::{probe, Habf, HabfConfig, ShardedConfig, ShardedHabf};
 use habf::filters::{BloomFilter, Filter, WeightedBloomFilter};
 use habf::util::Xoshiro256;
 use habf::workloads::{metrics, zipf_costs, ShallaConfig};
@@ -63,7 +63,7 @@ fn filters_agree_on_zero_fnr_and_habf_cost_beats_bloom() {
     let mut probe: Vec<Vec<u8>> = ds.positives.clone();
     probe.extend(ds.negatives.iter().cloned());
     let batch = sharded.contains_batch(&probe);
-    let batch_par = sharded.contains_batch_par(&probe, 4);
+    let batch_par = probe::batch_par(&probe, 4, |keys| sharded.contains_batch(keys));
     for (i, key) in probe.iter().enumerate() {
         let scalar = sharded.contains(key);
         assert_eq!(scalar, batch[i], "batch diverges at key {i}");
