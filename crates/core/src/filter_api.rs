@@ -531,17 +531,6 @@ pub trait DynFilter: Filter {
         out
     }
 
-    /// The filter as a **v1** container (previous envelope, opaque
-    /// payload) — for tooling that must produce images for pre-v2
-    /// readers. New images should use [`DynFilter::to_container_bytes`].
-    fn to_container_bytes_v1(&self) -> Vec<u8> {
-        let mut payload = Vec::new();
-        self.write_payload(&mut payload);
-        let mut out = Vec::new();
-        persist::encode_container(self.filter_id(), &payload, &mut out);
-        out
-    }
-
     /// Where the filter's payload words live: [`Backing::Owned`] after a
     /// build or a copying load, a shared/mmap view after a zero-copy load
     /// — until mutations ([`Rebuildable::rebuild`], inserts) promote the

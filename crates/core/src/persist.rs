@@ -86,8 +86,8 @@ pub(crate) const CONTAINER_MAGIC: &[u8; 4] = b"HABC";
 pub const CONTAINER_VERSION: u8 = 2;
 
 /// The previous container version (opaque unaligned payload). Still
-/// readable; [`crate::DynFilter::to_container_bytes_v1`] still writes it
-/// for compatibility tooling.
+/// readable, but nothing writes it except [`encode_container`], the
+/// reference encoder that tests build v1 images with.
 pub const CONTAINER_VERSION_V1: u8 = 1;
 
 /// Longest filter id the container header can name.
@@ -243,8 +243,9 @@ pub struct DecodedContainer<'a> {
 
 /// Appends a **v1** self-describing container — header naming `id`, then
 /// the length-framed opaque `payload` — to `out`. New images should go
-/// through [`crate::DynFilter::write_to`] (v2); this writer exists for
-/// compatibility tooling and tests.
+/// through [`crate::DynFilter::write_to`] (v2); this is the reference
+/// v1 writer that tests build the images the v1 readers must keep
+/// loading with.
 ///
 /// # Panics
 /// Panics if `id` is empty, longer than 64 bytes, or not ASCII (registry

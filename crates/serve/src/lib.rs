@@ -29,18 +29,18 @@
 //! handle.shutdown();
 //! ```
 //!
-//! Two serving models share the protocol and the tenant table
-//! ([`server::ServeModel`]): the default **reactor** — N readiness-driven
-//! event loops over nonblocking sockets with streaming frame decode,
-//! vectored writes, and cross-connection query coalescing — and the
-//! simpler thread-per-connection **threads** model kept for A/B
-//! comparison and non-unix targets.
+//! One serving model runs the connections: an accept thread that
+//! enforces the global connection cap, feeding N readiness-driven event
+//! loops over nonblocking sockets with streaming frame decode, vectored
+//! writes, and cross-connection query coalescing. It needs a unix
+//! target (epoll on Linux, `poll(2)` elsewhere); on any other target
+//! [`Server::bind`] reports `Unsupported`.
 //!
 //! The protocol's decoding discipline mirrors the persistence layer:
 //! every malformed frame — truncation, bad magic, oversized length,
 //! byte soup — produces a typed error frame or a clean close, never a
-//! panic or a wedged connection (reads are bounded by a timeout in the
-//! threads model and by the reactor's idle sweep).
+//! panic or a wedged connection (the reactor's idle sweep bounds a
+//! silent peer).
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

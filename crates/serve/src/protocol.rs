@@ -47,12 +47,13 @@
 //!
 //! ## Streaming decode
 //!
-//! [`read_frame`] blocks until a whole frame arrives — fine for the
-//! thread-per-connection model, a thread hostage for a reactor. The
+//! [`read_frame`] blocks until a whole frame arrives — fine for a
+//! client, a thread hostage for the server's event loops. The
 //! [`FrameAssembler`] is the incremental face of the same codec: feed
 //! it whatever bytes the socket had, pop complete frames, and a partial
 //! frame simply stays buffered until more bytes arrive. Both paths
-//! apply identical header validation and the same pre-allocation cap.
+//! validate headers through one decoder, with the same pre-allocation
+//! cap; [`write_frame`] and [`append_frame`] share one header encoder.
 
 use std::io::{Read, Write};
 
@@ -213,22 +214,45 @@ pub struct Frame {
     pub payload: Vec<u8>,
 }
 
+/// The one frame-header encoder. An over-cap payload is an error, so a
+/// buggy caller cannot emit a frame no peer will accept.
+fn encode_header(kind: u8, payload_len: usize) -> Result<[u8; HEADER_LEN], WireError> {
+    // Saturate the reported length: a > 4 GiB payload must not wrap the
+    // u32 (it used to report `len % 2^32` bytes in the error).
+    let len = u32::try_from(payload_len).unwrap_or(u32::MAX);
+    if payload_len > MAX_PAYLOAD {
+        return Err(WireError::Oversized(len));
+    }
+    let [m0, m1] = MAGIC;
+    let [l0, l1, l2, l3] = len.to_le_bytes();
+    Ok([m0, m1, VERSION, kind, l0, l1, l2, l3])
+}
+
+/// The one frame-header decoder: checks magic, version, and the length
+/// cap, and returns the frame type and payload length. The cap is
+/// checked before any caller sizes a buffer from the length.
+fn decode_header(header: [u8; HEADER_LEN]) -> Result<(u8, usize), WireError> {
+    let [m0, m1, version, kind, l0, l1, l2, l3] = header;
+    if [m0, m1] != MAGIC {
+        return Err(WireError::BadMagic([m0, m1]));
+    }
+    if version != VERSION {
+        return Err(WireError::BadVersion(version));
+    }
+    let len = u32::from_le_bytes([l0, l1, l2, l3]);
+    match usize::try_from(len) {
+        Ok(len_usize) if len_usize <= MAX_PAYLOAD => Ok((kind, len_usize)),
+        _ => Err(WireError::Oversized(len)),
+    }
+}
+
 /// Writes one frame: header + payload.
 ///
 /// # Errors
 /// Propagates socket write errors; an over-cap payload is an error
 /// here too, so a buggy caller cannot emit a frame no peer will accept.
 pub fn write_frame(w: &mut impl Write, kind: u8, payload: &[u8]) -> Result<(), WireError> {
-    // Saturate the reported length: a > 4 GiB payload must not wrap the
-    // u32 (it used to report `len % 2^32` bytes in the error).
-    let len = u32::try_from(payload.len()).unwrap_or(u32::MAX);
-    if payload.len() > MAX_PAYLOAD {
-        return Err(WireError::Oversized(len));
-    }
-    let [m0, m1] = MAGIC;
-    let [l0, l1, l2, l3] = len.to_le_bytes();
-    let header: [u8; HEADER_LEN] = [m0, m1, VERSION, kind, l0, l1, l2, l3];
-    w.write_all(&header)?;
+    w.write_all(&encode_header(kind, payload.len())?)?;
     w.write_all(payload)?;
     Ok(())
 }
@@ -273,19 +297,10 @@ pub fn read_frame(r: &mut impl Read) -> Result<Option<Frame>, WireError> {
         HEADER_LEN => {}
         _ => return Err(WireError::Truncated),
     }
-    let [m0, m1, version, kind, l0, l1, l2, l3] = header;
-    if [m0, m1] != MAGIC {
-        return Err(WireError::BadMagic([m0, m1]));
-    }
-    if version != VERSION {
-        return Err(WireError::BadVersion(version));
-    }
-    let len = u32::from_le_bytes([l0, l1, l2, l3]);
-    let len_usize = usize::try_from(len).map_err(|_| WireError::Oversized(len))?;
-    if len_usize > MAX_PAYLOAD {
-        return Err(WireError::Oversized(len));
-    }
-    let mut payload = vec![0u8; len_usize];
+    let (kind, len_usize) = decode_header(header)?;
+    // `decode_header` already refused longer lengths; the bound stays
+    // visible here, at the allocation.
+    let mut payload = vec![0u8; len_usize.min(MAX_PAYLOAD)];
     if read_full(r, &mut payload)? != len_usize {
         return Err(WireError::Truncated);
     }
@@ -365,18 +380,7 @@ impl FrameAssembler {
             .buf
             .get(self.start..header_end)
             .ok_or(WireError::Truncated)?;
-        let [m0, m1, version, kind, l0, l1, l2, l3] = le_array(header);
-        if [m0, m1] != MAGIC {
-            return Err(WireError::BadMagic([m0, m1]));
-        }
-        if version != VERSION {
-            return Err(WireError::BadVersion(version));
-        }
-        let len = u32::from_le_bytes([l0, l1, l2, l3]);
-        let len_usize = usize::try_from(len).map_err(|_| WireError::Oversized(len))?;
-        if len_usize > MAX_PAYLOAD {
-            return Err(WireError::Oversized(len));
-        }
+        let (kind, len_usize) = decode_header(le_array(header))?;
         let frame_end = header_end
             .checked_add(len_usize)
             .ok_or(WireError::Truncated)?;
@@ -403,13 +407,7 @@ impl FrameAssembler {
 /// [`WireError::Oversized`] for an over-cap payload; nothing is
 /// appended on error.
 pub fn append_frame(out: &mut Vec<u8>, kind: u8, payload: &[u8]) -> Result<(), WireError> {
-    let len = u32::try_from(payload.len()).unwrap_or(u32::MAX);
-    if payload.len() > MAX_PAYLOAD {
-        return Err(WireError::Oversized(len));
-    }
-    let [m0, m1] = MAGIC;
-    let [l0, l1, l2, l3] = len.to_le_bytes();
-    out.extend_from_slice(&[m0, m1, VERSION, kind, l0, l1, l2, l3]);
+    out.extend_from_slice(&encode_header(kind, payload.len())?);
     out.extend_from_slice(payload);
     Ok(())
 }

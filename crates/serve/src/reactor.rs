@@ -1,15 +1,16 @@
-//! The reactor serving model: N readiness-driven worker event loops
-//! over nonblocking sockets (`habf_util::poll` — raw epoll on Linux,
-//! `poll(2)` elsewhere).
+//! The server's event loops: N readiness-driven workers over
+//! nonblocking sockets (`habf_util::poll` — raw epoll on Linux,
+//! `poll(2)` on other unix targets).
 //!
 //! ## Architecture
 //!
 //! One blocking accept thread owns the listener, enforces the global
-//! connection cap, and shards each accepted connection to a worker by
-//! fd (`fd % workers`) over an mpsc channel, waking the worker through
-//! a nonblocking socketpair byte. Each worker owns its poller, its
-//! connections, and its buffers outright — no cross-worker locks, no
-//! shared connection state. Per wakeup a worker:
+//! connection cap — the only admission check; a worker serves every
+//! connection it is handed — and shards each accepted connection to a
+//! worker by fd (`fd % workers`) over an mpsc channel, waking the
+//! worker through a nonblocking socketpair byte. Each worker owns its
+//! poller, its connections, and its buffers outright — no cross-worker
+//! locks, no shared connection state. Per wakeup a worker:
 //!
 //! 1. drains readiness events, flushing writable connections and
 //!    reading **at most one bounded chunk** (64 KiB) per readable
@@ -30,7 +31,7 @@
 //!    connection; `WouldBlock` parks the remainder under write
 //!    interest.
 //!
-//! An idle sweep replaces the blocking model's per-read timeout: a
+//! An idle sweep bounds silence without blocking reads: a
 //! connection silent past `read_timeout` gets one typed error frame
 //! (mid-frame silence is a truncation) and a close. Reply ordering is
 //! preserved per connection because coalesced slots resolve within the
@@ -75,8 +76,6 @@ struct Shared {
     addr: Option<SocketAddr>,
     allow_shutdown: bool,
     read_timeout: Duration,
-    conns_per_worker: usize,
-    busy_retry_ms: u8,
 }
 
 /// Runs the reactor: spawns the workers, then serves the accept loop on
@@ -96,8 +95,6 @@ pub(crate) fn run(
         addr: listener.local_addr().ok(),
         allow_shutdown: config.allow_shutdown,
         read_timeout: config.read_timeout,
-        conns_per_worker: config.max_connections.div_ceil(workers).max(1),
-        busy_retry_ms: config.busy_retry_ms,
     });
 
     let mut senders: Vec<mpsc::Sender<TcpStream>> = Vec::with_capacity(workers);
@@ -339,7 +336,6 @@ struct Worker {
     intake: mpsc::Receiver<TcpStream>,
     conns: Vec<Option<Conn>>,
     free: Vec<usize>,
-    live: usize,
     scratch: Vec<u8>,
     pool: Vec<Vec<u8>>,
     batches: Vec<PendingBatch>,
@@ -368,7 +364,6 @@ impl Worker {
                 intake,
                 conns: Vec::new(),
                 free: Vec::new(),
-                live: 0,
                 scratch: vec![0u8; READ_CHUNK],
                 pool: Vec::new(),
                 batches: Vec::new(),
@@ -455,8 +450,8 @@ impl Worker {
         }
     }
 
-    /// Admits every connection the accept thread handed over, bounded
-    /// by the per-worker cap.
+    /// Admits every connection the accept thread handed over; the
+    /// accept thread already checked the global cap.
     fn intake(&mut self) {
         while let Ok(stream) = self.intake.try_recv() {
             self.admit(stream);
@@ -464,13 +459,6 @@ impl Worker {
     }
 
     fn admit(&mut self, stream: TcpStream) {
-        if self.live >= self.shared.conns_per_worker {
-            // Per-worker cap: refuse with the typed BUSY + backoff hint.
-            self.shared.active.fetch_sub(1, Ordering::AcqRel);
-            let _ = stream.set_nonblocking(false);
-            server::refuse_busy(stream, self.shared.busy_retry_ms);
-            return;
-        }
         if stream.set_nonblocking(true).is_err() {
             self.shared.active.fetch_sub(1, Ordering::AcqRel);
             return;
@@ -494,7 +482,6 @@ impl Worker {
         }
         if let Some(entry) = self.conns.get_mut(slot) {
             *entry = Some(Conn::new(stream));
-            self.live += 1;
         }
     }
 
@@ -637,9 +624,9 @@ impl Worker {
         }
     }
 
-    /// The `SHUTDOWN` gate, mirroring the threads model: opt-in only,
-    /// empty payload only; a served shutdown stops the whole reactor
-    /// after this connection's replies flush.
+    /// The `SHUTDOWN` gate: opt-in only, empty payload only; a served
+    /// shutdown stops the whole reactor after this connection's replies
+    /// flush.
     fn queue_shutdown(&mut self, slot: usize, frame: &Frame) {
         let (reply, stopping) = if self.shared.allow_shutdown && frame.payload.is_empty() {
             (
@@ -815,9 +802,8 @@ impl Worker {
 
     /// Applies `read_timeout` without blocking reads: a connection
     /// silent past the deadline gets one typed error (silence mid-frame
-    /// is a truncation, same as the blocking model's read timeout) and
-    /// closes; a closing connection that cannot flush within a further
-    /// deadline is dropped outright.
+    /// is a truncation) and closes; a closing connection that cannot
+    /// flush within a further deadline is dropped outright.
     fn sweep_idle(&mut self) {
         let timeout = self.shared.read_timeout;
         let now = Instant::now();
@@ -846,7 +832,6 @@ impl Worker {
         let _ = self.poller.deregister(conn.stream.as_raw_fd());
         let _ = conn.stream.shutdown(Shutdown::Both);
         self.free.push(slot);
-        self.live = self.live.saturating_sub(1);
         self.shared.active.fetch_sub(1, Ordering::AcqRel);
     }
 

@@ -12,9 +12,9 @@
 //! * [`store`] — the word-store layer itself: the copy-on-write [`Words`]
 //!   store, [`SharedWords`] views, [`ImageBytes`] (an 8-aligned shared
 //!   image) and its dependency-free mmap shim.
-//! * [`poll`] — a dependency-free readiness poller (raw `epoll` syscalls
-//!   on Linux, `poll(2)` elsewhere) that the serve reactor's event loops
-//!   are built on.
+//! * [`poll`] (unix only) — a dependency-free readiness poller (raw
+//!   `epoll` syscalls on Linux, `poll(2)` on other unix targets) that the
+//!   serve reactor's event loops are built on.
 //! * [`prefetch`] — safe software-prefetch wrappers used by the batch
 //!   probe pipeline (the filter crates deny `unsafe_code`; the intrinsics
 //!   live here behind hint-only safe functions).
@@ -32,6 +32,7 @@
 pub mod alloc;
 pub mod bitvec;
 pub mod cells;
+#[cfg(unix)]
 pub mod poll;
 pub mod prefetch;
 pub mod rng;

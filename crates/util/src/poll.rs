@@ -12,9 +12,9 @@
 //! * **other Unix** — `poll(2)` through the C ABI (std already links
 //!   libc there); the [`Poller`] keeps its own fd registry and rebuilds
 //!   the pollfd array per wait.
-//! * **non-Unix** — a stub that reports `Unsupported`; callers fall back
-//!   to blocking I/O (the serve crate keeps its thread-per-connection
-//!   model for that case).
+//!
+//! The module exists on unix targets only, and so does the serve
+//! reactor built on it.
 //!
 //! The API is deliberately tiny — register / modify / deregister an fd
 //! with a `u64` token, then `wait` for [`Event`]s — and level-triggered
@@ -24,8 +24,8 @@
 use std::io;
 use std::time::Duration;
 
-/// A raw file descriptor (`c_int` on every supported platform). Kept as
-/// a plain `i32` alias so the API is identical on the stub backend.
+/// A raw file descriptor (`c_int` on every supported platform), as a
+/// plain `i32` alias so the API is identical on both backends.
 pub type RawFd = i32;
 
 /// Which readiness directions a registration asks for.
@@ -450,52 +450,7 @@ mod imp {
     }
 }
 
-#[cfg(not(unix))]
-mod imp {
-    //! Stub backend: readiness polling is unsupported, callers fall
-    //! back to blocking I/O.
-
-    use super::{Event, Interest, RawFd};
-    use std::io;
-    use std::time::Duration;
-
-    fn unsupported() -> io::Error {
-        io::Error::new(
-            io::ErrorKind::Unsupported,
-            "readiness polling is unsupported on this platform",
-        )
-    }
-
-    pub(super) struct Inner;
-
-    impl Inner {
-        pub(super) fn new() -> io::Result<Inner> {
-            Err(unsupported())
-        }
-
-        pub(super) fn register(&mut self, _: RawFd, _: u64, _: Interest) -> io::Result<()> {
-            Err(unsupported())
-        }
-
-        pub(super) fn modify(&mut self, _: RawFd, _: u64, _: Interest) -> io::Result<()> {
-            Err(unsupported())
-        }
-
-        pub(super) fn deregister(&mut self, _: RawFd) -> io::Result<()> {
-            Err(unsupported())
-        }
-
-        pub(super) fn wait(
-            &mut self,
-            _: &mut Vec<Event>,
-            _: Option<Duration>,
-        ) -> io::Result<usize> {
-            Err(unsupported())
-        }
-    }
-}
-
-#[cfg(all(test, unix))]
+#[cfg(test)]
 mod tests {
     use super::*;
     use std::io::{Read, Write};

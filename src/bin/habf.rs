@@ -24,8 +24,9 @@
 //! `HABF`/`HABS` images load through the copying adapters — and work
 //! against the object-safe [`DynFilter`] surface, so a newly registered
 //! filter is immediately buildable, queryable, and inspectable here with
-//! no CLI changes. `migrate` rewrites any loadable image as a v2
-//! container.
+//! no CLI changes. Every command that writes an image (`build`, `adapt`,
+//! `insert`, `migrate`) writes a v2 container, whatever format it read;
+//! `migrate` does only that rewrite.
 //!
 //! The legacy flags remain as defaults: `--fast` selects `fhabf` and
 //! `--shards N` (N > 1) the sharded variant when `--filter` is not given
@@ -66,8 +67,7 @@ habf adapt FILTER --positives FILE --queries FILE [--out FILE] [--threshold F] \
 [--max-hints N] [--seed N]\n  habf insert FILTER [KEY…] [--keys FILE] [--out FILE]\n  \
 habf inspect FILTER\n  habf migrate FILTER [--out FILE]\n  \
 habf serve --listen ADDR --tenant NAME=FILTER[,POSITIVES] [--tenant …]\n         \
-[--threshold F] [--max-connections N] [--model reactor|threads] [--workers N]\n         \
-[--allow-shutdown]\n  \
+[--threshold F] [--max-connections N] [--workers N] [--allow-shutdown]\n  \
 habf client ADDR ping\n  habf client ADDR query TENANT [KEY…] [--replay FILE]\n  \
 habf client ADDR feedback TENANT (--queries FILE | KEY COST)\n  \
 habf client ADDR stats TENANT\n  habf client ADDR rebuild TENANT [--seed N] [--max-hints N]\n  \
@@ -196,11 +196,9 @@ fn cmd_build(args: &[String]) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let image = filter.to_container_bytes();
-    if let Err(e) = std::fs::write(&out, &image) {
-        eprintln!("habf: cannot write {out}: {e}");
+    let Some(written) = write_image(filter.as_ref(), &out) else {
         return ExitCode::FAILURE;
-    }
+    };
     println!(
         "{} ({}): {} positives, {} negatives, {} bits",
         filter.name(),
@@ -212,8 +210,22 @@ fn cmd_build(args: &[String]) -> ExitCode {
     for (label, value) in filter.metadata() {
         println!("  {label}: {value}");
     }
-    println!("wrote {} bytes to {out}", image.len());
+    println!("wrote {written} bytes to {out}");
     ExitCode::SUCCESS
+}
+
+/// Writes `filter` to `out` as a v2 container, the one format the CLI
+/// writes, and returns the bytes written; prints the failure and
+/// returns `None` if the write fails.
+fn write_image(filter: &dyn DynFilter, out: &str) -> Option<usize> {
+    let image = filter.to_container_bytes();
+    match std::fs::write(out, &image) {
+        Ok(()) => Some(image.len()),
+        Err(e) => {
+            eprintln!("habf: cannot write {out}: {e}");
+            None
+        }
+    }
 }
 
 /// Opens a filter image memory-mapped: a v2 container serves its word
@@ -330,32 +342,16 @@ fn cmd_adapt(args: &[String]) -> ExitCode {
         println!("below threshold {threshold}: no adaptation needed");
         return ExitCode::SUCCESS;
     }
-    // Preserve the input's on-disk format: a legacy image stays a legacy
-    // image (its payload IS the legacy encoding) and a v1 container stays
-    // v1, so older readers keep loading the adapted output; only current
-    // (v2) containers re-wrap through the current writer.
-    let image = match (loaded.format, loaded.version) {
-        (habf::core::ImageFormat::Container, habf::core::persist::CONTAINER_VERSION_V1) => {
-            loaded.filter.to_container_bytes_v1()
-        }
-        (habf::core::ImageFormat::Container, _) => loaded.filter.to_container_bytes(),
-        _ => {
-            let mut payload = Vec::new();
-            loaded.filter.write_payload(&mut payload);
-            payload
-        }
-    };
-    if let Err(e) = std::fs::write(&out, &image) {
-        eprintln!("habf: cannot write {out}: {e}");
+    let Some(written) = write_image(loaded.filter.as_ref(), &out) else {
         return ExitCode::FAILURE;
-    }
+    };
     println!("rebuilt with mined hints: {after} false positives remain");
-    println!("wrote {} bytes to {out}", image.len());
+    println!("wrote {written} bytes to {out}");
     ExitCode::SUCCESS
 }
 
 /// Inserts keys into a growable filter image and writes the grown image
-/// back, format-preserving (like `adapt`). Filters without the grow
+/// back as a v2 container. Filters without the grow
 /// capability — everything but the tiered stacks — are refused with a
 /// clear message instead of silently breaking their zero-FN contract.
 fn cmd_insert(args: &[String]) -> ExitCode {
@@ -394,29 +390,16 @@ fn cmd_insert(args: &[String]) -> ExitCode {
     for key in &keys {
         growable.insert(key);
     }
-    // Preserve the input's on-disk format, as `adapt` does.
-    let image = match (loaded.format, loaded.version) {
-        (habf::core::ImageFormat::Container, habf::core::persist::CONTAINER_VERSION_V1) => {
-            loaded.filter.to_container_bytes_v1()
-        }
-        (habf::core::ImageFormat::Container, _) => loaded.filter.to_container_bytes(),
-        _ => {
-            let mut payload = Vec::new();
-            loaded.filter.write_payload(&mut payload);
-            payload
-        }
-    };
-    if let Err(e) = std::fs::write(&out, &image) {
-        eprintln!("habf: cannot write {out}: {e}");
+    let Some(written) = write_image(loaded.filter.as_ref(), &out) else {
         return ExitCode::FAILURE;
-    }
+    };
     println!(
         "inserted {} keys: {} generations, saturation {:.4}",
         keys.len(),
         loaded.filter.generations(),
         loaded.filter.saturation()
     );
-    println!("wrote {} bytes to {out}", image.len());
+    println!("wrote {written} bytes to {out}");
     ExitCode::SUCCESS
 }
 
@@ -640,11 +623,9 @@ fn cmd_migrate(args: &[String]) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let image = loaded.filter.to_container_bytes();
-    if let Err(e) = std::fs::write(&out, &image) {
-        eprintln!("habf: cannot write {out}: {e}");
+    let Some(written) = write_image(loaded.filter.as_ref(), &out) else {
         return ExitCode::FAILURE;
-    }
+    };
     // Tolerant writes: migrate is piped into grep in CI smoke steps.
     let text = format!(
         "migrated {} (v{}) -> HABC container (v{})\n{} ({}): {} bits, wrote {} bytes to {out}\n",
@@ -654,7 +635,7 @@ fn cmd_migrate(args: &[String]) -> ExitCode {
         loaded.filter.name(),
         loaded.filter.filter_id(),
         loaded.filter.space_bits(),
-        image.len()
+        written
     );
     let _ = std::io::Write::write_all(&mut std::io::stdout(), text.as_bytes());
     ExitCode::SUCCESS
@@ -682,7 +663,6 @@ fn cmd_serve(args: &[String]) -> ExitCode {
             "--max-connections" => {
                 config.max_connections = val().parse().unwrap_or_else(|_| usage());
             }
-            "--model" => config.model = val().parse().unwrap_or_else(|_| usage()),
             "--workers" => config.workers = val().parse().unwrap_or_else(|_| usage()),
             "--allow-shutdown" => config.allow_shutdown = true,
             _ => usage(),
@@ -722,7 +702,6 @@ fn cmd_serve(args: &[String]) -> ExitCode {
         println!("tenant {name}: {filter_path} ({rebuilds})");
         tenants.add(store);
     }
-    println!("serving model: {}", config.model.name());
     let server = match Server::bind(&listen[..], tenants, config) {
         Ok(server) => server,
         Err(e) => {

@@ -744,76 +744,29 @@ fn migrate_upgrades_legacy_and_v1_images_to_v2() {
     }
 }
 
-/// `adapt` must preserve the input's on-disk format: a legacy image in,
-/// a legacy image out — older readers keep loading the adapted output.
-#[test]
-fn adapt_preserves_the_legacy_image_format() {
-    let dir = TempDir::new("adapt-legacy");
-    // The checked-in legacy fixture (pre-container format) and its
-    // golden workload (see tests/golden_persist.rs).
-    let fixture =
-        std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/habf_v1.bin");
-    let filter = dir.0.join("legacy.bin");
-    std::fs::copy(&fixture, &filter).expect("copy fixture");
-    let pos = write_file(
-        &dir.0,
-        "pos.txt",
-        &(0..64)
-            .map(|i| format!("golden:pos:{i}"))
-            .collect::<Vec<_>>(),
-    );
-    let queries = write_file(
-        &dir.0,
-        "queries.txt",
-        &(0..64)
-            .map(|i| format!("golden:neg:{i}"))
-            .collect::<Vec<_>>(),
-    );
-    let adapted = dir.0.join("adapted.bin");
-    let adapt = Command::new(bin())
-        .arg("adapt")
-        .arg(&filter)
-        .arg("--positives")
-        .arg(&pos)
-        .arg("--queries")
-        .arg(&queries)
-        .args(["--threshold", "0.5"])
-        .arg("--out")
-        .arg(&adapted)
+/// Asserts `path` holds a v2 container that `inspect` serves mmap-backed.
+fn assert_written_as_v2(path: &std::path::Path) {
+    let bytes = std::fs::read(path).expect("written image");
+    assert_eq!(&bytes[..4], b"HABC", "the CLI writes only containers");
+    assert_eq!(bytes[4], 2, "the CLI writes only v2 containers");
+    let inspect = Command::new(bin())
+        .arg("inspect")
+        .arg(path)
         .output()
-        .expect("adapt legacy");
-    assert!(
-        adapt.status.success(),
-        "{}",
-        String::from_utf8_lossy(&adapt.stderr)
-    );
-    if adapted.exists() {
-        let bytes = std::fs::read(&adapted).expect("adapted image");
-        assert_eq!(&bytes[..4], b"HABF", "legacy input must stay legacy");
-        let inspect = Command::new(bin())
-            .arg("inspect")
-            .arg(&adapted)
-            .output()
-            .expect("inspect adapted");
-        let text = String::from_utf8_lossy(&inspect.stdout);
-        assert!(text.contains("legacy HABF image"), "{text}");
-    } else {
-        // Below threshold (no FPs in the replay): nothing was written,
-        // which also cannot have migrated the format.
-        let text = String::from_utf8_lossy(&adapt.stdout);
-        assert!(text.contains("no adaptation needed"), "{text}");
-    }
+        .expect("inspect written image");
+    assert!(inspect.status.success());
+    let text = String::from_utf8_lossy(&inspect.stdout);
+    assert!(text.contains("HABC container (v2)"), "{text}");
+    assert!(text.contains("backing     : mmap"), "{text}");
 }
 
-/// `adapt` on a **v1 container** writes a v1 container back (pre-v2
-/// readers keep loading it); only v2 inputs re-wrap as v2.
-#[test]
-fn adapt_preserves_the_v1_container_version() {
-    let dir = TempDir::new("adapt-v1");
-    let fixture = std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("tests/golden/container_habf_v1.bin");
-    let filter = dir.0.join("v1.bin");
-    std::fs::copy(&fixture, &filter).expect("copy fixture");
+/// Runs `adapt` on a checked-in golden fixture (see
+/// tests/golden_persist.rs for its workload) with a replay that holds
+/// false positives, so the filter is rebuilt and an image written.
+fn adapt_golden_fixture(dir: &TempDir, fixture: &str) -> std::path::PathBuf {
+    let filter = dir.0.join(fixture);
+    let golden = std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden");
+    std::fs::copy(golden.join(fixture), &filter).expect("copy fixture");
     let pos = write_file(
         &dir.0,
         "pos.txt",
@@ -824,7 +777,7 @@ fn adapt_preserves_the_v1_container_version() {
     let queries = write_file(
         &dir.0,
         "queries.txt",
-        &(0..64)
+        &(0..20_000)
             .map(|i| format!("golden:neg:{i}"))
             .collect::<Vec<_>>(),
     );
@@ -840,27 +793,72 @@ fn adapt_preserves_the_v1_container_version() {
         .arg("--out")
         .arg(&adapted)
         .output()
-        .expect("adapt v1 container");
+        .expect("adapt fixture");
     assert!(
         adapt.status.success(),
-        "{}",
+        "{fixture}: {}",
         String::from_utf8_lossy(&adapt.stderr)
     );
-    if adapted.exists() {
-        let bytes = std::fs::read(&adapted).expect("adapted image");
-        assert_eq!(&bytes[..4], b"HABC", "container input stays a container");
-        assert_eq!(bytes[4], 1, "v1 container input must stay v1");
-        let inspect = Command::new(bin())
-            .arg("inspect")
-            .arg(&adapted)
-            .output()
-            .expect("inspect adapted");
-        let text = String::from_utf8_lossy(&inspect.stdout);
-        assert!(text.contains("HABC container (v1)"), "{text}");
-    } else {
-        let text = String::from_utf8_lossy(&adapt.stdout);
-        assert!(text.contains("no adaptation needed"), "{text}");
-    }
+    let text = String::from_utf8_lossy(&adapt.stdout);
+    assert!(
+        text.contains("rebuilt with mined hints"),
+        "{fixture}: {text}"
+    );
+    adapted
+}
+
+/// `adapt` on a legacy `HABF` image writes a v2 container: the CLI
+/// reads every format but writes only the current one.
+#[test]
+fn adapt_writes_a_legacy_image_as_a_v2_container() {
+    let dir = TempDir::new("adapt-legacy");
+    let adapted = adapt_golden_fixture(&dir, "habf_v1.bin");
+    assert_written_as_v2(&adapted);
+}
+
+/// `adapt` on a v1 container writes a v2 container.
+#[test]
+fn adapt_writes_a_v1_container_as_a_v2_container() {
+    let dir = TempDir::new("adapt-v1");
+    let adapted = adapt_golden_fixture(&dir, "container_habf_v1.bin");
+    assert_written_as_v2(&adapted);
+}
+
+/// `insert` into a v1 scalable stack writes the grown stack as a v2
+/// container, and old and new members both answer through it.
+#[test]
+fn insert_writes_a_v1_container_as_a_v2_container() {
+    let dir = TempDir::new("insert-v1");
+    let fixture = "container_scalable-habf_v1.bin";
+    let stack = dir.0.join(fixture);
+    let golden = std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden");
+    std::fs::copy(golden.join(fixture), &stack).expect("copy fixture");
+    let grown = dir.0.join("grown.bin");
+    let insert = Command::new(bin())
+        .arg("insert")
+        .arg(&stack)
+        .args(["late:0", "late:1", "late:2"])
+        .arg("--out")
+        .arg(&grown)
+        .output()
+        .expect("insert");
+    assert!(
+        insert.status.success(),
+        "{}",
+        String::from_utf8_lossy(&insert.stderr)
+    );
+    assert_written_as_v2(&grown);
+    let query = Command::new(bin())
+        .arg("query")
+        .arg(&grown)
+        .args(["golden:pos:0", "golden:pos:63", "late:0", "late:2"])
+        .output()
+        .expect("query grown");
+    assert!(
+        query.status.success(),
+        "member lost in the write: {}",
+        String::from_utf8_lossy(&query.stdout)
+    );
 }
 
 /// `--fast` next to an explicit `--filter` is a contradiction, not a

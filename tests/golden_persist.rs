@@ -13,7 +13,7 @@
 
 use habf::core::registry;
 use habf::prelude::{
-    BuildInput, FHabf, Filter, FilterSpec, Habf, HabfConfig, ImageFormat, ShardedConfig,
+    BuildInput, DynFilter, FHabf, Filter, FilterSpec, Habf, HabfConfig, ImageFormat, ShardedConfig,
     ShardedHabf,
 };
 use std::path::PathBuf;
@@ -121,9 +121,20 @@ fn sharded_container_is_byte_stable() {
     }
 }
 
+/// The v1 container envelope around `filter`'s v1 payload, built with
+/// the reference encoder. Nothing in the workspace writes v1 any more,
+/// but the v1 readers must keep loading byte-pinned images.
+fn container_v1(filter: &dyn DynFilter) -> Vec<u8> {
+    let mut payload = Vec::new();
+    filter.write_payload(&mut payload);
+    let mut image = Vec::new();
+    habf::core::persist::encode_container(filter.filter_id(), &payload, &mut image);
+    image
+}
+
 /// One container fixture **per envelope version** per registered filter
-/// id: the v1 envelope (opaque payload, still written by
-/// `to_container_bytes_v1` for pre-v2 readers), the current v2 envelope
+/// id: the v1 envelope (opaque payload, built by [`container_v1`] for
+/// the v1 readers), the current v2 envelope
 /// (aligned word frames), and every payload codec (including the
 /// baselines, which gained persistence with the container) are
 /// byte-pinned.
@@ -139,9 +150,9 @@ fn container_images_are_byte_stable_for_every_registered_id() {
             .build(&input)
             .unwrap_or_else(|e| panic!("{id}: {e}"));
 
-        // The previous envelope stays writable and byte-identical, so
-        // images shipped to pre-v2 readers never drift.
-        let image_v1 = filter.to_container_bytes_v1();
+        // The previous envelope's bytes stay pinned, so the v1 images
+        // already shipped keep loading.
+        let image_v1 = container_v1(filter.as_ref());
         assert_matches_fixture(&format!("container_{id}_v1.bin"), &image_v1);
 
         // The current aligned envelope.

@@ -6,8 +6,18 @@
 //! copying loader *and* the zero-copy shared-image loader.
 
 use habf::core::registry;
-use habf::core::{BuildInput, FilterSpec, PersistError};
+use habf::core::{BuildInput, DynFilter, FilterSpec, PersistError};
 use proptest::prelude::*;
+
+/// The v1 container envelope around `filter`'s v1 payload, built with
+/// the reference encoder (nothing else writes v1 any more).
+fn container_v1(filter: &dyn DynFilter) -> Vec<u8> {
+    let mut payload = Vec::new();
+    filter.write_payload(&mut payload);
+    let mut image = Vec::new();
+    habf::core::persist::encode_container(filter.filter_id(), &payload, &mut image);
+    image
+}
 
 /// One small container image per registered id (plus the legacy images),
 /// used as the mutation corpus. Built once — the proptests below run
@@ -37,7 +47,7 @@ fn build_corpus() -> Vec<(String, Vec<u8>)> {
                 // loadable) and the previous opaque envelope: both must
                 // be equally hardened against mutation.
                 (format!("container-v2:{id}"), filter.to_container_bytes()),
-                (format!("container-v1:{id}"), filter.to_container_bytes_v1()),
+                (format!("container-v1:{id}"), container_v1(filter.as_ref())),
             ]
         })
         .collect();
@@ -70,7 +80,7 @@ fn build_corpus() -> Vec<(String, Vec<u8>)> {
     ));
     images.push((
         "container-v1:scalable-habf-grown".into(),
-        scalable.to_container_bytes_v1(),
+        container_v1(scalable.as_ref()),
     ));
     images
 }
