@@ -267,8 +267,9 @@ pub struct ShardedHabf<F: ShardFilter> {
 impl<F: ShardFilter> ShardedHabf<F> {
     /// Builds all shards in parallel with `std::thread::scope`.
     ///
-    /// Keys are partitioned by the splitter hash; each shard runs the full
-    /// TPJO construction over its partition with a proportional slice of
+    /// Keys are partitioned by the splitter hash into exact-size
+    /// partitions that keep input order; each shard runs the full TPJO
+    /// construction over its partition with a proportional slice of
     /// `config.base.total_bits`. The result is deterministic for a given
     /// configuration, independent of `config.threads`.
     ///
@@ -285,16 +286,7 @@ impl<F: ShardFilter> ShardedHabf<F> {
             panic!("invalid ShardedConfig: {e}");
         }
         let n = config.shards;
-        let mut pos_parts: Vec<Vec<&[u8]>> = vec![Vec::new(); n];
-        for key in positives {
-            let key = key.as_ref();
-            pos_parts[shard_of(key, config.splitter_seed, n)].push(key);
-        }
-        let mut neg_parts: Vec<Vec<(&[u8], f64)>> = vec![Vec::new(); n];
-        for (key, cost) in negatives {
-            let key = key.as_ref();
-            neg_parts[shard_of(key, config.splitter_seed, n)].push((key, *cost));
-        }
+        let (pos_parts, neg_parts) = partition(positives, negatives, config.splitter_seed, n);
 
         let total_positives = positives.len();
         let configs: Vec<HabfConfig> = (0..n)
@@ -586,17 +578,8 @@ impl<F: ShardFilter + Clone> ShardedHabf<F> {
         negatives: &[(impl AsRef<[u8]>, f64)],
         base_seed: u64,
     ) {
-        let n = self.shards.len();
-        let mut pos_parts: Vec<Vec<&[u8]>> = vec![Vec::new(); n];
-        for key in positives {
-            let key = key.as_ref();
-            pos_parts[shard_of(key, self.splitter_seed, n)].push(key);
-        }
-        let mut neg_parts: Vec<Vec<(&[u8], f64)>> = vec![Vec::new(); n];
-        for (key, cost) in negatives {
-            let key = key.as_ref();
-            neg_parts[shard_of(key, self.splitter_seed, n)].push((key, *cost));
-        }
+        let (pos_parts, neg_parts) =
+            partition(positives, negatives, self.splitter_seed, self.shards.len());
         for (i, slot) in self.shards.iter_mut().enumerate() {
             let seed = base_seed.wrapping_add((i as u64).wrapping_mul(SHARD_SEED_STRIDE));
             Arc::make_mut(slot).rebuild_shard(&pos_parts[i], &neg_parts[i], seed);
@@ -684,6 +667,50 @@ thread_local! {
 fn shard_of(key: &[u8], splitter_seed: u64, shards: usize) -> usize {
     debug_assert!(shards > 0);
     (habf_hashing::xxhash::xxh64(key, splitter_seed ^ SPLITTER_TAG) % shards as u64) as usize
+}
+
+/// Per-shard positive and negative partitions.
+type Partitions<'a> = (Vec<Vec<&'a [u8]>>, Vec<Vec<(&'a [u8], f64)>>);
+
+/// Splits the build sets into per-shard partitions, each in input order.
+fn partition<'a>(
+    positives: &'a [impl AsRef<[u8]>],
+    negatives: &'a [(impl AsRef<[u8]>, f64)],
+    seed: u64,
+    shards: usize,
+) -> Partitions<'a> {
+    let pos = split(positives.iter().map(AsRef::as_ref), |&k| k, seed, shards);
+    let neg = split(
+        negatives.iter().map(|(k, c)| (k.as_ref(), *c)),
+        |&(k, _)| k,
+        seed,
+        shards,
+    );
+    (pos, neg)
+}
+
+/// Routes each item once into a shard-id array and counts the shards,
+/// then fills partitions allocated at their exact sizes: no partition
+/// grows by doubling, and input order is kept within each.
+fn split<'a, T>(
+    items: impl Iterator<Item = T> + Clone,
+    key: impl Fn(&T) -> &'a [u8],
+    splitter_seed: u64,
+    shards: usize,
+) -> Vec<Vec<T>> {
+    let ids: Vec<u32> = items
+        .clone()
+        .map(|item| shard_of(key(&item), splitter_seed, shards) as u32)
+        .collect();
+    let mut sizes = vec![0usize; shards];
+    for &s in &ids {
+        sizes[s as usize] += 1;
+    }
+    let mut parts: Vec<Vec<T>> = sizes.into_iter().map(Vec::with_capacity).collect();
+    for (item, &s) in items.zip(&ids) {
+        parts[s as usize].push(item);
+    }
+    parts
 }
 
 #[cfg(test)]

@@ -94,14 +94,17 @@ pub struct BuildStats {
     /// Collision keys resolved as a side effect of earlier adjustments
     /// (tested negative when popped).
     pub resolved_lazily: usize,
-    /// Wall time hashing `S` with `H0` and filling the Bloom array and `V`.
+    /// Wall time hashing `S` with `H0` and filling the Bloom array and `V`
+    /// (the Bloom array only, when there are no negatives).
     pub init_time: Duration,
     /// Wall time hashing `O`, splitting it into collision and optimized
-    /// keys, and ordering the collision queue.
+    /// keys, and ordering the collision queue (zero with no negatives).
     pub classify_time: Duration,
-    /// Wall time building `Γ` over the optimized keys (zero with Γ off).
+    /// Wall time building `Γ` over the optimized keys (zero with Γ off,
+    /// and zero when the build has no collision key, which skips `Γ`).
     pub gamma_time: Duration,
-    /// Wall time of the optimizer's main loop over the collision queue.
+    /// Wall time of the optimizer's main loop over the collision queue
+    /// (zero when the build has no collision key, which skips it).
     pub main_loop_time: Duration,
 }
 
@@ -133,6 +136,13 @@ struct NegState {
 /// An empty positive set is allowed and degenerates to an all-zeros
 /// filter that answers every query negatively (zero FNR vacuously) — the
 /// case a sharded build hits when the splitter assigns a shard no keys.
+///
+/// Only what the main loop will read is built. With no negatives the
+/// run is one pass that hashes each positive with `H0` and sets its Bloom
+/// bits: no `φ` or position arrays, no `V`, no `Γ`. With negatives but
+/// no collision key after classification it returns before `Γ` and the
+/// main-loop state. Either way the output is the one the full run would
+/// give, since its main loop would find nothing to do.
 ///
 /// The front end is memory-bound, not compute-bound, so it runs as bulk
 /// passes that prefetch `PREFETCH_AHEAD` items ahead (when
@@ -186,10 +196,36 @@ pub fn run<P: HashProvider>(
         spent
     };
 
+    let mut bloom = BitVec::new(m);
+    let mut he = HashExpressor::new(config.omega, config.cell_bits, k);
+    let mut scratch: Vec<u32> = Vec::with_capacity(k);
+
+    // ---- Members only: nothing can collide, so the filter is S under H0
+    // and none of the optimizer's indexes is read.
+    if negatives.is_empty() {
+        for (idx, key) in positives.iter().enumerate() {
+            if prefetch {
+                if let Some(ahead) = positives.get(idx + PREFETCH_AHEAD) {
+                    prefetch_bytes(ahead.as_ref());
+                }
+            }
+            positions_batch(provider, key.as_ref(), &h0, m, &mut scratch);
+            for &p in &scratch {
+                bloom.set(p as usize);
+            }
+        }
+        stats.init_time = end_phase();
+        return TpjoOutput {
+            bloom,
+            he,
+            h0,
+            stats,
+        };
+    }
+
     // ---- Initialization: insert S with H0, build the Bloom array and V.
     let mut pos_phis: Vec<HashId> = Vec::with_capacity(positives.len() * k);
     let mut pos_positions: Vec<u32> = Vec::with_capacity(positives.len() * k);
-    let mut scratch: Vec<u32> = Vec::with_capacity(k);
     for (idx, key) in positives.iter().enumerate() {
         if prefetch {
             if let Some(ahead) = positives.get(idx + PREFETCH_AHEAD) {
@@ -200,7 +236,6 @@ pub fn run<P: HashProvider>(
         pos_phis.extend_from_slice(&h0);
         pos_positions.extend_from_slice(&scratch);
     }
-    let mut bloom = BitVec::new(m);
     let mut v = VIndex::new(m);
     for (i, &p) in pos_positions.iter().enumerate() {
         if prefetch {
@@ -246,6 +281,16 @@ pub fn run<P: HashProvider>(
     stats.initial_collision_keys = initial_ck.len();
     queue.extend(initial_ck);
     stats.classify_time = end_phase();
+    if queue.is_empty() {
+        // No collision key: the main loop, and Γ built for it, would do
+        // nothing.
+        return TpjoOutput {
+            bloom,
+            he,
+            h0,
+            stats,
+        };
+    }
 
     // Γ starts with every optimized key, i.e. every non-collision key.
     let mut gamma = config.use_gamma.then(|| {
@@ -255,7 +300,6 @@ pub fn run<P: HashProvider>(
     });
     stats.gamma_time = end_phase();
 
-    let mut he = HashExpressor::new(config.omega, config.cell_bits, k);
     let mut in_he = vec![false; positives.len()];
     let neg_pos_of = |flat: &Vec<u32>, idx: u32| -> [u32; MAX_K] {
         let mut out = [0u32; MAX_K];
@@ -656,6 +700,47 @@ mod tests {
         let phases = [s.init_time, s.classify_time, s.gamma_time, s.main_loop_time];
         assert!(phases.iter().all(|t| !t.is_zero()), "unset phase: {s:?}");
         assert!(phases.iter().sum::<Duration>() <= wall, "{s:?} vs {wall:?}");
+    }
+
+    #[test]
+    fn loopless_runs_skip_gamma_and_the_main_loop() {
+        let provider = HashFamily::with_size(7);
+        let pos = keys(2_000, "pos");
+        let cfg = config(2_000 * 16, 500, true);
+        let none: Vec<(Vec<u8>, f64)> = vec![];
+        let members_only = run(&pos, &none, &provider, &cfg);
+        // The Bloom array is exactly S inserted with H0.
+        let mut bloom = BitVec::new(cfg.m);
+        for key in &pos {
+            for &id in &members_only.h0 {
+                bloom.set(provider.position(id, key, cfg.m));
+            }
+        }
+        assert!(members_only.bloom == bloom, "not a plain H0 Bloom array");
+
+        // Negatives that all test negative under H0.
+        let clean: Vec<(Vec<u8>, f64)> = keys(400, "neg")
+            .into_iter()
+            .filter(|k| {
+                !members_only
+                    .h0
+                    .iter()
+                    .all(|&id| bloom.get(provider.position(id, k, cfg.m)))
+            })
+            .map(|k| (k, 1.0))
+            .collect();
+        let no_collisions = run(&pos, &clean, &provider, &cfg);
+        assert!(no_collisions.bloom == bloom);
+        assert_eq!(no_collisions.stats.initial_collision_keys, 0);
+        for out in [&members_only, &no_collisions] {
+            let s = &out.stats;
+            assert!(
+                s.gamma_time.is_zero() && s.main_loop_time.is_zero(),
+                "{s:?}"
+            );
+            assert_eq!(out.he.inserted(), 0);
+        }
+        assert!(members_only.stats.classify_time.is_zero());
     }
 
     #[test]

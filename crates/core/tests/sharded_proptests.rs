@@ -16,7 +16,9 @@ fn keys_strategy() -> impl Strategy<Value = Vec<Vec<u8>>> {
 
 /// Cost-annotated negatives disjoint from any generated positive (the
 /// upper-case prefix can never collide with the `[a-z0-9./:-]` class).
+/// One seed in four draws none, so members-only builds are covered too.
 fn negatives_for(n: usize, seed: u32) -> Vec<(Vec<u8>, f64)> {
+    let n = if seed % 4 == 0 { 0 } else { n };
     (0..n)
         .map(|i| {
             let cost = 1.0 + f64::from(seed.wrapping_mul(i as u32 + 1) % 100);

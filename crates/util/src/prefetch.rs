@@ -136,20 +136,32 @@ pub fn prefetch_words(words: &[u64], word_idx: usize) {
     }
 }
 
+/// Cache-line size the byte prefetch assumes (x86-64 and most aarch64).
+const LINE: usize = 64;
+
 /// Prefetches the cache line(s) holding a small byte slice. The batch
 /// pipelines use this on the *key bytes* of upcoming probes: a large
 /// shuffled batch reads its keys in heap-random order, so the key fetch
 /// misses cache exactly like the filter words do. One hint covers the
-/// line of the first byte; slices past one line get a second hint for
-/// their tail.
+/// line of the first byte; a slice whose last byte sits on another line
+/// gets a second hint for that line, however short the slice: a short
+/// key straddles a line boundary about as often as not. Lines strictly
+/// between the first and the last, in slices past two lines, get none.
 #[inline]
 pub fn prefetch_bytes(bytes: &[u8]) {
-    if let Some(first) = bytes.first() {
+    if let (Some(first), Some(last)) = (bytes.first(), bytes.last()) {
         prefetch_read(first);
-        if bytes.len() > 64 {
-            prefetch_read(&bytes[bytes.len() - 1]);
+        if ends_on_another_line(bytes.as_ptr() as usize, bytes.len()) {
+            prefetch_read(last);
         }
     }
+}
+
+/// Whether the last byte of a `len`-byte slice at address `addr` lies on
+/// a different cache line than its first byte (`len ≥ 1`).
+#[inline]
+fn ends_on_another_line(addr: usize, len: usize) -> bool {
+    addr / LINE != (addr + len - 1) / LINE
 }
 
 #[cfg(test)]
@@ -164,6 +176,27 @@ mod tests {
         prefetch_words(&words, 64); // out of range: ignored
         prefetch_words(&[], 0);
         assert!(words.iter().all(|&w| w == 0xDEAD_BEEF));
+    }
+
+    #[test]
+    fn second_hint_goes_to_every_slice_ending_on_another_line() {
+        for offset in 0..LINE {
+            for len in 1..=130 {
+                // The lines the slice touches, enumerated byte by byte.
+                let lines: Vec<usize> = (offset..offset + len).map(|a| a / LINE).collect();
+                let spans = lines.first() != lines.last();
+                assert_eq!(
+                    ends_on_another_line(offset, len),
+                    spans,
+                    "offset {offset}, len {len}"
+                );
+                // A slice of at most one line needs a second hint exactly
+                // when it does not fit in the rest of its first line.
+                if len <= LINE {
+                    assert_eq!(spans, offset + len > LINE, "offset {offset}, len {len}");
+                }
+            }
+        }
     }
 
     #[test]

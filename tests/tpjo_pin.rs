@@ -6,12 +6,18 @@
 //! `V` or the collision-queue order shows up here as a different image
 //! digest or a different set of counters.
 //!
+//! The members-only and collision-free builds pin the other end: builds
+//! that return before the main loop, and before `V` and `Γ` too when
+//! there are no negatives, must keep the bytes the full run gave.
+//!
 //! The expected values were captured from the reference implementation.
 //! A mismatch means the optimizer's output changed; that is a behaviour
 //! change, not a test to re-pin.
 
 use habf::core::BuildStats;
-use habf::prelude::{BuildInput, DynFilter, Filter, FilterSpec, FpLog, Habf, HabfConfig};
+use habf::prelude::{
+    BuildInput, DynFilter, Filter, FilterSpec, FpLog, Habf, HabfConfig, ShardedHabf,
+};
 
 const SEED: u64 = 0x5eed_7a10;
 
@@ -194,4 +200,88 @@ fn registry_builds_and_hinted_rebuild_are_pinned() {
     );
     let _off = habf::util::prefetch::scoped(false);
     assert_eq!(registry_digests(), pinned, "prefetch changed the image");
+}
+
+/// Members-only `habf` and 8-shard `sharded-habf` registry builds, the
+/// shape of a tenant serving before any feedback exists, and a costed
+/// `habf` build whose negatives all test negative under `H0`. None of
+/// them reaches the optimizer's main loop. Returns the three image
+/// digests and the counters of each build (summed over shards).
+fn loopless_builds() -> ([(usize, u64); 3], [[usize; 8]; 3]) {
+    let pos = positives(50_000);
+    let members = BuildInput::from_members(&pos);
+    let habf = FilterSpec::habf().bits_per_key(10.0).seed(SEED);
+    let sharded = FilterSpec::sharded(8).bits_per_key(10.0).seed(SEED);
+
+    let no_negatives: Costed = Vec::new();
+    let members_only = Habf::build(&pos, &no_negatives, &habf.params().habf_config(pos.len()));
+    let registry_sharded = sharded.build(&members).expect("sharded build");
+    let direct_sharded = ShardedHabf::<Habf>::build_par(
+        &pos,
+        &no_negatives,
+        &sharded.params().sharded_config(pos.len()),
+    );
+    assert_eq!(
+        direct_sharded.to_container_bytes(),
+        registry_sharded.to_container_bytes(),
+        "registry and direct sharded builds differ"
+    );
+    let mut sharded_counters = [0; 8];
+    for i in 0..direct_sharded.shard_count() {
+        let shard = counters(direct_sharded.shard(i).stats());
+        for (sum, c) in sharded_counters.iter_mut().zip(shard) {
+            *sum += c;
+        }
+    }
+
+    let pos = positives(20_000);
+    let clean = Habf::build(&pos, &negatives("clean", 100, false), &config(20_000, 16));
+    assert_eq!(
+        clean.stats().initial_collision_keys,
+        0,
+        "a negative collides"
+    );
+
+    for filter in [
+        &members_only as &dyn DynFilter,
+        registry_sharded.as_ref(),
+        &clean,
+    ] {
+        assert!(pos.iter().all(|k| filter.contains(k)), "member dropped");
+    }
+    (
+        [
+            digest(&members_only.to_container_bytes()),
+            digest(&registry_sharded.to_container_bytes()),
+            digest(&clean.to_container_bytes()),
+        ],
+        [
+            counters(members_only.stats()),
+            sharded_counters,
+            counters(clean.stats()),
+        ],
+    )
+}
+
+#[test]
+fn loopless_builds_are_pinned() {
+    let pinned = loopless_builds();
+    assert_eq!(
+        pinned,
+        (
+            [
+                (62_624, 10_980_675_690_604_230_739),
+                (63_280, 3_209_906_992_452_289_686),
+                (40_120, 6_506_435_177_376_150_795),
+            ],
+            [
+                [50_000, 0, 0, 0, 0, 0, 0, 0],
+                [50_000, 0, 0, 0, 0, 0, 0, 0],
+                [20_000, 100, 0, 0, 0, 0, 0, 0],
+            ],
+        ),
+        "image or counters drifted"
+    );
+    let _off = habf::util::prefetch::scoped(false);
+    assert_eq!(loopless_builds(), pinned, "prefetch changed the image");
 }
